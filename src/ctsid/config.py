@@ -16,7 +16,10 @@ class NumericConfig:
     rank_rtol: relative SVD threshold; a singular value s counts toward the
         rank when s > rank_rtol * s_max * max(rows, cols).
     quad_nodes: Gauss-Legendre nodes per panel.
-    quad_panels: panels per smooth piece of an integrand.
+    quad_panels: panels per smooth piece of an integrand. Together with
+        quad_nodes it sets the quadrature of build_relation_matrices, of the
+        pointwise oracles and, in filter_lti_dataset, of bump_test only: the
+        other families use closed-form interval moments.
     rk4_substeps: RK4 steps per sampling period for the integration oracle.
     pathological_q_max: largest integer multiple of 2*pi/T checked when
         testing the sampling time against the eigenvalue-difference condition.

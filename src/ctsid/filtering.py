@@ -1,4 +1,4 @@
-"""Filtered datasets from trajectories by exact-piece quadrature.
+"""Filtered datasets from trajectories through the sampled-data factorization.
 
 Produces the three M-column matrices
 
@@ -12,11 +12,16 @@ g_l, so the state derivative is never evaluated:
     x_df_l = sum_j [ g_l(t_j^-) x(t_j) - g_l(t_{j-1}) x(t_{j-1})
                      - int_{t_{j-1}}^{t_j} g'_l(t) x(t) dt ].
 
-Integration is composite Gauss-Legendre per smooth piece, with pieces split
-at every multiple of T so that filter breakpoints and input switches are
-never straddled. The module also builds the block matrices (A_bar, B_bar,
-G_bar, C_bar, F_bar) tying filtered data to sampled data through
-[x_f; u_f] = C_bar * [chi; mu] * F_bar.
+filter_lti_dataset uses the decomposition g_l(tau + jT) = g(tau) f_l(jT):
+every integral over a sampling interval is a moment of g or g' against
+e^{[[A, B], [0, 0]] tau} on [0, T], applied to [chi_j; mu_j] and weighted by
+F_bar. The moments are closed-form matrix exponentials (Van Loan) for
+lowpass, laguerre and poly_test, and composite Gauss-Legendre for bump_test.
+
+The module also builds, independently by quadrature, the block matrices
+(A_bar, B_bar, G_bar, C_bar, F_bar) of [x_f; u_f] = C_bar * [chi; mu] * F_bar
+as a check, and keeps pointwise quadrature paths (filter_signal,
+filtered_input_data, filtered_derivative_data) as oracles.
 """
 
 from __future__ import annotations
@@ -27,11 +32,21 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import ValidationError
-from .filters import Decomposition, FilterBank, build_F_bar, eval_g, eval_g_deriv, left_limit_g
+from .filters import (
+    Decomposition,
+    FilterBank,
+    build_F_bar,
+    decompose,
+    eval_g,
+    eval_g_deriv,
+    left_limit_g,
+)
+from .linalg import expm
 from .ltisim import (
     LtiSystem,
     PiecewiseConstantInput,
     SampledDataset,
+    _augmented,
     simulate_sampled,
     transition,
 )
@@ -200,30 +215,78 @@ def _node_propagators(
     nodes: int,
     cache: dict | None = None,
 ):
-    """(taus, ws, propagators) for quadrature on [0, T].
+    """(taus, ws, tops) for quadrature on [0, T].
 
-    The propagators (e^{A tau}, int_0^tau e^{A s} ds B) depend only on the
-    system and the node offsets, so callers filtering the same system with
-    several filter banks share them through ``cache``.
+    tops[i] = [e^{A tau_i}, int_0^{tau_i} e^{A s} ds B], the top n rows of
+    e^{[[A, B], [0, 0]] tau_i}. They depend only on the system and the node
+    offsets, so callers filtering the same system with several filter banks
+    share them through ``cache``.
     """
     key = (panels, nodes)
     if cache is not None and key in cache:
         return cache[key]
     taus, ws = gauss_legendre_panels(0.0, T, panels, nodes)
-    props = [transition(sys, float(t)) for t in taus]
-    entry = (taus, ws, props)
+    tops = np.array([np.hstack(transition(sys, float(t))) for t in taus])
+    entry = (taus, ws, tops)
     if cache is not None:
         cache[key] = entry
     return entry
 
 
-def _node_states(props, sd: SampledDataset) -> np.ndarray:
-    """States at jT + tau_i for all intervals j and offsets tau_i: (n, N, #tau)."""
-    n, N = sd.chi.shape[0], sd.N
-    out = np.empty((n, N, len(props)))
-    for i, (e_a, h_b) in enumerate(props):
-        out[:, :, i] = e_a @ sd.chi + h_b @ sd.mu
-    return out
+def _interval_moments(
+    sys: LtiSystem,
+    decomp: Decomposition,
+    config: NumericConfig = DEFAULT_CONFIG,
+    cache: dict | None = None,
+):
+    """Moments of the interval filter g against the augmented exponential.
+
+    With M = [[A, B], [0, 0]], returns the pair (fine, coarse) of triples
+    (G_x, G'_x, int g), where G_x is the top n rows of
+    G = int_0^T g(tau) e^{M tau} dtau and G'_x the same with g'. The lower
+    rows of G are [0, (int g) I].
+
+    lowpass and laguerre (g = c e^{alpha tau}) take one exponential of the
+    Van Loan block [[M + alpha I, I], [0, 0]] T, whose top-right block is
+    int_0^1 e^{(M + alpha I) T s} ds, and G' = alpha G. poly_test, a quartic
+    in u = 1 - tau/T, takes one exponential of the chain [[M T, I], [0, 0, I],
+    ..., [0, 0]] with five identity blocks, whose top row holds
+    H_k = int_0^1 e^{M T s} (1 - s)^k / k! ds for k = 0..4. These are exact
+    up to rounding, so coarse is fine. bump_test has no closed form: fine and
+    coarse are composite Gauss-Legendre at 2 * quad_panels and quad_panels.
+    """
+    bank = decomp.bank
+    n, p = sys.n, sys.n + sys.m
+    rho, T = bank.rho, bank.T
+    if bank.family == "bump_test":
+
+        def quadrature(panels: int):
+            taus, ws, tops = _node_propagators(sys, T, panels, config.quad_nodes, cache)
+            wg = ws * decomp.g(taus)
+            return (
+                np.tensordot(wg, tops, axes=1),
+                np.tensordot(ws * decomp.g_deriv(taus), tops, axes=1),
+                float(np.sum(wg)),
+            )
+
+        return quadrature(2 * config.quad_panels), quadrature(config.quad_panels)
+    aug = _augmented(sys)
+    if bank.family == "poly_test":
+        chain = np.eye(6 * p, k=p)
+        chain[:p, :p] = aug * T
+        h = expm(chain)[:p].reshape(p, 6, p)[:, 1:].transpose(1, 0, 2)
+        # g = rho T^4 (u^2 - 2u^3 + u^4), g' = -rho T^3 (2u - 6u^2 + 4u^3)
+        g_full = rho * T**5 * (2 * h[2] - 12 * h[3] + 24 * h[4])
+        gd_full = -rho * T**4 * (2 * h[1] - 12 * h[2] + 24 * h[3])
+    else:
+        c, alpha = (1.0, rho) if bank.family == "lowpass" else (np.sqrt(2 * rho), -rho)
+        block = np.zeros((2 * p, 2 * p))
+        block[:p, :p] = (aug + alpha * np.eye(p)) * T
+        block[:p, p:] = np.eye(p)
+        g_full = c * T * expm(block)[:p, p:]
+        gd_full = alpha * g_full
+    exact = (g_full[:n], gd_full[:n], float(g_full[n, n]))
+    return exact, exact
 
 
 def filter_lti_dataset(
@@ -233,41 +296,39 @@ def filter_lti_dataset(
     config: NumericConfig = DEFAULT_CONFIG,
     cache: dict | None = None,
 ) -> FilteredDataset:
-    """Full filtered dataset for an LTI trajectory, with error estimates.
+    """Full filtered dataset for an LTI trajectory, through the factorization.
 
-    Exact propagators give the state at every quadrature node, so the only
-    error source is the Gauss-Legendre rule itself; the per-matrix estimate
-    in quadrature_report is a panel-doubling difference.
+    With S = [chi; mu] over the first N intervals, F_bar from the
+    decomposition, G = int_0^T g(tau) e^{[[A, B], [0, 0]] tau} dtau, G' the
+    same with g', and G_x, G'_x their top n rows:
+
+        [x_f; u_f] = G S F_bar
+        x_df = (g(T^-) chi_{1..N} - g(0) chi_{0..N-1} - G'_x S) F_bar.
+
+    quadrature_report holds |fine - coarse| per matrix: exact zeros for the
+    closed-form families, the panel-doubling difference for bump_test.
+    ``config`` (quad_panels, quad_nodes) and ``cache`` only matter for
+    bump_test. Requires N >= M.
     """
+    decomp = decompose(bank)
     if inp.N < bank.N:
         raise ValidationError("input shorter than the filter horizon")
+    f_bar = build_F_bar(decomp)
     sd = simulate_sampled(sys, inp)
+    n, N = sys.n, bank.N
+    s_f = sd.stacked()[:, :N] @ f_bar
+    next_f = sd.chi_all[:, 1 : N + 1] @ f_bar
+    g_0, g_end = decomp.g(np.array([0.0, bank.T]))
 
-    def compute(panels: int):
-        taus, ws, props = _node_propagators(sys, bank.T, panels, config.quad_nodes, cache)
-        states = _node_states(props, sd)
-        chi_all = sd.chi_all
-        x_f = np.zeros((sys.n, bank.M))
-        u_f = np.zeros((sys.m, bank.M))
-        x_df = np.zeros((sys.n, bank.M))
-        for ell in range(1, bank.M + 1):
-            for j in bank.support_intervals(ell):
-                t_global = j * bank.T + taus
-                gv = eval_g(bank, ell, t_global)
-                gdv = eval_g_deriv(bank, ell, t_global)
-                x_f[:, ell - 1] += states[:, j, :] @ (ws * gv)
-                u_f[:, ell - 1] += float(np.dot(ws, gv)) * sd.mu[:, j]
-                g_left = left_limit_g(bank, ell, (j + 1) * bank.T)
-                g_right = eval_g(bank, ell, j * bank.T)
-                x_df[:, ell - 1] += (
-                    g_left * chi_all[:, j + 1]
-                    - g_right * chi_all[:, j]
-                    - states[:, j, :] @ (ws * gdv)
-                )
-        return x_f, u_f, x_df
+    def data(moments):
+        g_x, gd_x, g_int = moments
+        return (
+            g_x @ s_f,
+            g_int * s_f[n:],
+            g_end * next_f - g_0 * s_f[:n] - gd_x @ s_f,
+        )
 
-    coarse = compute(config.quad_panels)
-    fine = compute(2 * config.quad_panels)
+    fine, coarse = (data(mom) for mom in _interval_moments(sys, decomp, config, cache))
     report = {
         name: np.abs(f - c)
         for name, f, c in zip(("x_f", "u_f", "x_df"), fine, coarse)
@@ -340,15 +401,12 @@ def build_relation_matrices(
     G_bar = I * int g, F_bar from the decomposition. Verification path only
     (needs the ground-truth A, B)."""
     bank = decomp.bank
-    taus, ws, props = _node_propagators(
+    taus, ws, tops = _node_propagators(
         sys, bank.T, config.quad_panels, config.quad_nodes, cache
     )
     gv = np.atleast_1d(decomp.g(taus))
-    a_bar = np.zeros((sys.n, sys.n))
-    b_bar = np.zeros((sys.n, sys.m))
-    for i, (e_a, h_b) in enumerate(props):
-        a_bar += ws[i] * gv[i] * e_a
-        b_bar += ws[i] * gv[i] * h_b
+    g_top = np.tensordot(ws * gv, tops, axes=1)
+    a_bar, b_bar = g_top[:, : sys.n], g_top[:, sys.n :]
     g_int = float(np.dot(ws, gv))
     return RelationMatrices(
         a_bar=a_bar,

@@ -21,6 +21,7 @@ from ctsid import (
     state_fn,
     verify_algebraic,
 )
+from ctsid.filtering import _interval_moments
 from ctsid.filters import FAMILIES
 from conftest import random_controllable_system
 
@@ -201,9 +202,12 @@ class TestFilterLtiDataset:
         assert set(fd.quadrature_report) == {"x_f", "u_f", "x_df"}
         for mat in fd.quadrature_report.values():
             assert np.max(mat) <= 1e-8 * (1 + np.max(np.abs(fd.x_df)))
+        if family != "bump_test":  # closed-form moments: exact zeros
+            assert not any(mat.any() for mat in fd.quadrature_report.values())
 
-    def test_matches_slow_generic_path(self, aircraft_system, aircraft_input):
-        bank = bank_of("bump_test")
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_slow_generic_path(self, family, aircraft_system, aircraft_input):
+        bank = bank_of(family)
         fd = filter_lti_dataset(aircraft_system, aircraft_input, bank)
         f = state_fn(aircraft_system, aircraft_input)
         assert np.allclose(fd.x_f, filter_signal(bank, f), atol=1e-9)
@@ -211,19 +215,38 @@ class TestFilterLtiDataset:
         assert np.allclose(fd.x_df, filtered_derivative_data(bank, f), atol=1e-9)
 
     def test_cache_is_shared_and_harmless(self, aircraft_system, aircraft_input):
+        # bump_test is the one family filtered by quadrature, so the one using the cache
         cache = {}
-        fd1 = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("poly_test"), cache=cache)
+        fd1 = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("bump_test"), cache=cache)
         assert cache
-        fd2 = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("lowpass"), cache=cache)
-        ref2 = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("lowpass"))
+        other = make_filter_bank("bump_test", 5.0, T, 6, 6)
+        fd2 = filter_lti_dataset(aircraft_system, aircraft_input, other, cache=cache)
+        ref2 = filter_lti_dataset(aircraft_system, aircraft_input, other)
         assert np.allclose(fd2.x_f, ref2.x_f)
         assert np.allclose(fd2.x_df, ref2.x_df)
 
     def test_coarse_config_still_close(self, aircraft_system, aircraft_input):
         cfg = NumericConfig(quad_panels=2, quad_nodes=8)
-        fd = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("poly_test"), config=cfg)
-        ref = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("poly_test"))
+        fd = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("bump_test"), config=cfg)
+        ref = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("bump_test"))
         assert np.max(np.abs(fd.x_f - ref.x_f)) <= 1e-6 * (1 + np.max(np.abs(ref.x_f)))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rejects_more_filters_than_intervals(self, family, aircraft_system, aircraft_input):
+        with pytest.raises(ValidationError, match=r"N=6, M=8"):
+            filter_lti_dataset(aircraft_system, aircraft_input, bank_of(family, M=8, N=6))
+
+    @pytest.mark.parametrize("family", ("lowpass", "laguerre", "poly_test"))
+    @pytest.mark.parametrize("period", (0.01, 0.1, 1.0))
+    @pytest.mark.parametrize("rho", (0.1, 1.0, 10.0))
+    def test_closed_form_moments_match_quadrature(self, family, period, rho, aircraft_system):
+        """The closed-form interval moments agree with fine Gauss-Legendre."""
+        decomp = decompose(make_filter_bank(family, rho, period, 6, 6))
+        (g_x, _, g_int), _ = _interval_moments(aircraft_system, decomp)
+        rel = build_relation_matrices(aircraft_system, decomp, NumericConfig(quad_panels=32))
+        ref = np.hstack([rel.a_bar, rel.b_bar])
+        assert np.linalg.norm(g_x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert abs(g_int - rel.g_bar[0, 0]) <= 1e-12 * abs(rel.g_bar[0, 0])
 
 
 class TestLowpassRealization:
@@ -291,11 +314,12 @@ class TestRelationMatrices:
     def test_random_systems_factorize(self, seed):
         rng = np.random.default_rng(200 + seed)
         sys_ = random_controllable_system(rng, n=3, m=2, T=T)
-        inp = PiecewiseConstantInput(T=T, levels=rng.uniform(-1, 1, size=(2, 6)))
-        for family in ("laguerre", "lowpass"):
-            bank = bank_of(family)
-            fd = filter_lti_dataset(sys_, inp, bank)
+        for N in (6, 32):
+            inp = PiecewiseConstantInput(T=T, levels=rng.uniform(-1, 1, size=(2, N)))
             sd = simulate_sampled(sys_, inp)
-            rel = build_relation_matrices(sys_, decompose(bank))
-            assert factorization_residual(fd, sd, rel) <= 1e-10
-            assert verify_algebraic(fd, sys_) <= 1e-9 * max(1.0, np.linalg.norm(fd.x_df))
+            for family in FAMILIES:
+                bank = bank_of(family, M=N, N=N)
+                fd = filter_lti_dataset(sys_, inp, bank)
+                rel = build_relation_matrices(sys_, decompose(bank))
+                assert factorization_residual(fd, sd, rel) <= 1e-10, (family, N)
+                assert verify_algebraic(fd, sys_) <= 1e-9 * max(1.0, np.linalg.norm(fd.x_df))
