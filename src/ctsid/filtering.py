@@ -16,7 +16,8 @@ filter_lti_dataset uses the decomposition g_l(tau + jT) = g(tau) f_l(jT):
 every integral over a sampling interval is a moment of g or g' against
 e^{[[A, B], [0, 0]] tau} on [0, T], applied to [chi_j; mu_j] and weighted by
 F_bar. The moments are closed-form matrix exponentials (Van Loan) for
-lowpass, laguerre and poly_test, and composite Gauss-Legendre for bump_test.
+lowpass, laguerre and poly_test, and composite Gauss-Legendre for bump_test,
+whose node propagators come from powers of one panel's exponential.
 
 The module also builds, independently by quadrature, the block matrices
 (A_bar, B_bar, G_bar, C_bar, F_bar) of [x_f; u_f] = C_bar * [chi; mu] * F_bar
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericConfig
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .filters import (
     Decomposition,
     FilterBank,
@@ -48,7 +49,6 @@ from .ltisim import (
     SampledDataset,
     _augmented,
     simulate_sampled,
-    transition,
 )
 
 
@@ -159,8 +159,7 @@ def filtered_input_data(
     config: NumericConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
     """u_f exactly, as sum_j (int_{jT}^{(j+1)T} g_l) mu_j over the support."""
-    if inp.N < bank.N:
-        raise ValidationError("input shorter than the filter horizon")
+    _check_input(bank, inp)
     out = np.zeros((inp.m, bank.M))
     for ell in range(1, bank.M + 1):
         for j in bank.support_intervals(ell):
@@ -208,49 +207,83 @@ def filtered_derivative_data(
     return out
 
 
-def _node_propagators(
-    sys: LtiSystem,
-    T: float,
-    panels: int,
-    nodes: int,
-    cache: dict | None = None,
-):
-    """(taus, ws, tops) for quadrature on [0, T].
+def _node_propagators(sys: LtiSystem, T: float, panels: int, nodes: int):
+    """(taus, ws, tops) for composite Gauss-Legendre quadrature on [0, T].
 
     tops[i] = [e^{A tau_i}, int_0^{tau_i} e^{A s} ds B], the top n rows of
-    e^{[[A, B], [0, 0]] tau_i}. They depend only on the system and the node
-    offsets, so callers filtering the same system with several filter banks
-    share them through ``cache``.
+    e^{M tau_i} with M = [[A, B], [0, 0]]. The nodes are tau = p h + c_i with
+    h = T / panels, so by the semigroup property e^{M tau} = (e^{M h})^p e^{M c_i}:
+    nodes + 1 exponentials and a chain of panel powers instead of one
+    exponential per node. Rounding grows along the chain by up to
+    ||e^{M h}||^p; the tests hold it within 1e-12 relative of per-node
+    exponentials for stiff, unstable and random A up to ||A|| T = 20.
     """
-    key = (panels, nodes)
-    if cache is not None and key in cache:
-        return cache[key]
     taus, ws = gauss_legendre_panels(0.0, T, panels, nodes)
-    tops = np.array([np.hstack(transition(sys, float(t))) for t in taus])
-    entry = (taus, ws, tops)
-    if cache is not None:
-        cache[key] = entry
-    return entry
+    aug = _augmented(sys)
+    local = np.array([expm(aug * c) for c in taus[:nodes]])
+    powers = np.empty((panels, *aug.shape))
+    powers[0] = np.eye(aug.shape[0])
+    if panels > 1:
+        powers[1] = expm(aug * (T / panels))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(2, panels):
+            powers[p] = powers[p - 1] @ powers[1]
+        tops = np.matmul(powers[:, None, : sys.n], local[None])
+    tops = tops.reshape(panels * nodes, sys.n, -1)
+    if not np.all(np.isfinite(tops)):
+        raise NumericalError("panel-power propagators overflowed (e^{A T} too large)")
+    return taus, ws, tops
+
+
+def _check_input(bank: FilterBank, inp: PiecewiseConstantInput) -> None:
+    """The input must share the bank's sampling period and cover its horizon."""
+    if abs(inp.T - bank.T) > 1e-12 * bank.T:
+        raise ValidationError(
+            f"input sampling period T={inp.T!r} differs from the filter bank's T={bank.T!r}"
+        )
+    if inp.N < bank.N:
+        raise ValidationError("input shorter than the filter horizon")
+
+
+def _interval_split(decomp: Decomposition):
+    """(g(0), g(T^-), F_bar) of the split filter_lti_dataset computes with.
+
+    This is the decomposition's own split except for lowpass, which takes
+    g(tau) = e^{rho (tau - T)} and F_bar[j, l-1] = e^{rho (j + 1 - l) T} for
+    j < l: every factor is at most 1, so nothing overflows or underflows
+    into a wrong result at any rho T. The paper's split (g = e^{rho tau})
+    carries e^{rho T} in G and e^{-rho T} in F_bar.
+    """
+    bank = decomp.bank
+    if bank.family != "lowpass":
+        g_0, g_end = decomp.g(np.array([0.0, bank.T]))
+        return g_0, g_end, build_F_bar(decomp)
+    rho_t = bank.rho * bank.T
+    lag = np.subtract.outer(np.arange(bank.N), np.arange(bank.M))  # j + 1 - l
+    return np.exp(-rho_t), 1.0, np.where(lag <= 0, np.exp(rho_t * np.minimum(lag, 0)), 0.0)
 
 
 def _interval_moments(
     sys: LtiSystem,
     decomp: Decomposition,
     config: NumericConfig = DEFAULT_CONFIG,
-    cache: dict | None = None,
 ):
     """Moments of the interval filter g against the augmented exponential.
 
     With M = [[A, B], [0, 0]], returns the pair (fine, coarse) of triples
     (G_x, G'_x, int g), where G_x is the top n rows of
     G = int_0^T g(tau) e^{M tau} dtau and G'_x the same with g'. The lower
-    rows of G are [0, (int g) I].
+    rows of G are [0, (int g) I]. g is the one of _interval_split: for
+    lowpass e^{rho (tau - T)}, e^{-rho T} times the decomposition's g.
 
-    lowpass and laguerre (g = c e^{alpha tau}) take one exponential of the
-    Van Loan block [[M + alpha I, I], [0, 0]] T, whose top-right block is
-    int_0^1 e^{(M + alpha I) T s} ds, and G' = alpha G. poly_test, a quartic
-    in u = 1 - tau/T, takes one exponential of the chain [[M T, I], [0, 0, I],
-    ..., [0, 0]] with five identity blocks, whose top row holds
+    lowpass takes one exponential of the Van Loan block
+    [[-rho T I, I], [0, M T]], whose top-right block is
+    int_0^1 e^{-rho T (1 - s)} e^{M T s} ds and cannot overflow; laguerre
+    (g = c e^{-rho tau}) that of [[(M - rho I) T, I], [0, 0]], whose top-right
+    block is int_0^1 e^{(M - rho I) T s} ds. Both have G' = alpha G with
+    alpha = rho and -rho. poly_test, a quartic in u = 1 - tau/T, takes one
+    exponential of the chain [[M T, I], [0, 0, I], ..., [0, 0]] with five
+    identity blocks, whose top row holds
     H_k = int_0^1 e^{M T s} (1 - s)^k / k! ds for k = 0..4. These are exact
     up to rounding, so coarse is fine. bump_test has no closed form: fine and
     coarse are composite Gauss-Legendre at 2 * quad_panels and quad_panels.
@@ -261,7 +294,7 @@ def _interval_moments(
     if bank.family == "bump_test":
 
         def quadrature(panels: int):
-            taus, ws, tops = _node_propagators(sys, T, panels, config.quad_nodes, cache)
+            taus, ws, tops = _node_propagators(sys, T, panels, config.quad_nodes)
             wg = ws * decomp.g(taus)
             return (
                 np.tensordot(wg, tops, axes=1),
@@ -279,10 +312,14 @@ def _interval_moments(
         g_full = rho * T**5 * (2 * h[2] - 12 * h[3] + 24 * h[4])
         gd_full = -rho * T**4 * (2 * h[1] - 12 * h[2] + 24 * h[3])
     else:
-        c, alpha = (1.0, rho) if bank.family == "lowpass" else (np.sqrt(2 * rho), -rho)
-        block = np.zeros((2 * p, 2 * p))
-        block[:p, :p] = (aug + alpha * np.eye(p)) * T
-        block[:p, p:] = np.eye(p)
+        block = np.eye(2 * p, k=p)
+        if bank.family == "lowpass":
+            c, alpha = 1.0, rho
+            block[:p, :p] = -rho * T * np.eye(p)
+            block[p:, p:] = aug * T
+        else:
+            c, alpha = np.sqrt(2 * rho), -rho
+            block[:p, :p] = (aug + alpha * np.eye(p)) * T
         g_full = c * T * expm(block)[:p, p:]
         gd_full = alpha * g_full
     exact = (g_full[:n], gd_full[:n], float(g_full[n, n]))
@@ -294,31 +331,31 @@ def filter_lti_dataset(
     inp: PiecewiseConstantInput,
     bank: FilterBank,
     config: NumericConfig = DEFAULT_CONFIG,
-    cache: dict | None = None,
 ) -> FilteredDataset:
     """Full filtered dataset for an LTI trajectory, through the factorization.
 
-    With S = [chi; mu] over the first N intervals, F_bar from the
-    decomposition, G = int_0^T g(tau) e^{[[A, B], [0, 0]] tau} dtau, G' the
-    same with g', and G_x, G'_x their top n rows:
+    With S = [chi; mu] over the first N intervals, a split
+    g_l(tau + jT) = g(tau) F_bar[j, l-1] of the filters,
+    G = int_0^T g(tau) e^{[[A, B], [0, 0]] tau} dtau, G' the same with g',
+    and G_x, G'_x their top n rows:
 
         [x_f; u_f] = G S F_bar
         x_df = (g(T^-) chi_{1..N} - g(0) chi_{0..N-1} - G'_x S) F_bar.
 
-    quadrature_report holds |fine - coarse| per matrix: exact zeros for the
-    closed-form families, the panel-doubling difference for bump_test.
-    ``config`` (quad_panels, quad_nodes) and ``cache`` only matter for
-    bump_test. Requires N >= M.
+    The split is the decomposition's, except for lowpass, which moves the
+    factor e^{-rho T} from F_bar into g so that it stays exact at any rho T
+    (see _interval_split). quadrature_report holds |fine - coarse| per
+    matrix: exact zeros for the closed-form families, the panel-doubling
+    difference for bump_test. ``config`` (quad_panels, quad_nodes) only
+    matters for bump_test. Requires N >= M and inp.T equal to bank.T.
     """
     decomp = decompose(bank)
-    if inp.N < bank.N:
-        raise ValidationError("input shorter than the filter horizon")
-    f_bar = build_F_bar(decomp)
+    _check_input(bank, inp)
+    g_0, g_end, f_bar = _interval_split(decomp)
     sd = simulate_sampled(sys, inp)
     n, N = sys.n, bank.N
     s_f = sd.stacked()[:, :N] @ f_bar
     next_f = sd.chi_all[:, 1 : N + 1] @ f_bar
-    g_0, g_end = decomp.g(np.array([0.0, bank.T]))
 
     def data(moments):
         g_x, gd_x, g_int = moments
@@ -328,7 +365,7 @@ def filter_lti_dataset(
             g_end * next_f - g_0 * s_f[:n] - gd_x @ s_f,
         )
 
-    fine, coarse = (data(mom) for mom in _interval_moments(sys, decomp, config, cache))
+    fine, coarse = (data(mom) for mom in _interval_moments(sys, decomp, config))
     report = {
         name: np.abs(f - c)
         for name, f, c in zip(("x_f", "u_f", "x_df"), fine, coarse)
@@ -395,15 +432,12 @@ def build_relation_matrices(
     sys: LtiSystem,
     decomp: Decomposition,
     config: NumericConfig = DEFAULT_CONFIG,
-    cache: dict | None = None,
 ) -> RelationMatrices:
     """A_bar = int g(tau) e^{A tau}, B_bar = int g(tau) (int_0^tau e^{A s} B ds),
     G_bar = I * int g, F_bar from the decomposition. Verification path only
     (needs the ground-truth A, B)."""
     bank = decomp.bank
-    taus, ws, tops = _node_propagators(
-        sys, bank.T, config.quad_panels, config.quad_nodes, cache
-    )
+    taus, ws, tops = _node_propagators(sys, bank.T, config.quad_panels, config.quad_nodes)
     gv = np.atleast_1d(decomp.g(taus))
     g_top = np.tensordot(ws * gv, tops, axes=1)
     a_bar, b_bar = g_top[:, : sys.n], g_top[:, sys.n :]

@@ -66,14 +66,13 @@ PRINT_HALF_UNIT = 5e-5  # rounding error of the 4-decimal reference tables
 
 
 class Run:
-    """One battery member: system, designed experiment, shared caches."""
+    """One battery member: system, designed experiment, cached filtered data."""
 
     def __init__(self, sys_, result):
         self.sys = sys_
         self.result = result
         self.sd = result.dataset
         self.inp = PiecewiseConstantInput(T=T, levels=self.sd.mu)
-        self.cache = {}  # quadrature propagators, shared across families
         self._fds = {}
         self._state = None
 
@@ -88,7 +87,7 @@ class Run:
     def fd(self, family):
         if family not in self._fds:
             bank = make_filter_bank(family, FAMILY_RHO[family], T, self.n + self.m, self.n + self.m)
-            self._fds[family] = filter_lti_dataset(self.sys, self.inp, bank, cache=self.cache)
+            self._fds[family] = filter_lti_dataset(self.sys, self.inp, bank)
         return self._fds[family]
 
     def state(self):
@@ -284,7 +283,7 @@ def test_criterion_8_residuals(battery, family):
         rel_alg = verify_algebraic(fd, run.sys) / max(np.linalg.norm(fd.x_df), 1e-300)
         assert rel_alg <= 1e-8, (family, run.n, run.m)
         bank = make_filter_bank(family, FAMILY_RHO[family], T, run.n + run.m, run.n + run.m)
-        rel_mat = build_relation_matrices(run.sys, decompose(bank), cache=run.cache)
+        rel_mat = build_relation_matrices(run.sys, decompose(bank))
         assert factorization_residual(fd, run.sd, rel_mat) <= 1e-8, (family, run.n, run.m)
 
 

@@ -3,7 +3,9 @@ import pytest
 
 import ctsid.aircraft as aircraft
 from ctsid import (
+    LtiSystem,
     NumericConfig,
+    NumericalError,
     PiecewiseConstantInput,
     ValidationError,
     build_relation_matrices,
@@ -13,6 +15,7 @@ from ctsid import (
     filter_signal,
     filtered_derivative_data,
     filtered_input_data,
+    identify,
     lowpass_derivative_identity,
     lowpass_realization,
     make_filter_bank,
@@ -21,8 +24,9 @@ from ctsid import (
     state_fn,
     verify_algebraic,
 )
-from ctsid.filtering import _interval_moments
+from ctsid.filtering import _interval_moments, _node_propagators
 from ctsid.filters import FAMILIES
+from ctsid.ltisim import transition
 from conftest import random_controllable_system
 
 T = aircraft.T
@@ -214,17 +218,6 @@ class TestFilterLtiDataset:
         assert np.allclose(fd.u_f, filtered_input_data(bank, aircraft_input), atol=1e-12)
         assert np.allclose(fd.x_df, filtered_derivative_data(bank, f), atol=1e-9)
 
-    def test_cache_is_shared_and_harmless(self, aircraft_system, aircraft_input):
-        # bump_test is the one family filtered by quadrature, so the one using the cache
-        cache = {}
-        fd1 = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("bump_test"), cache=cache)
-        assert cache
-        other = make_filter_bank("bump_test", 5.0, T, 6, 6)
-        fd2 = filter_lti_dataset(aircraft_system, aircraft_input, other, cache=cache)
-        ref2 = filter_lti_dataset(aircraft_system, aircraft_input, other)
-        assert np.allclose(fd2.x_f, ref2.x_f)
-        assert np.allclose(fd2.x_df, ref2.x_df)
-
     def test_coarse_config_still_close(self, aircraft_system, aircraft_input):
         cfg = NumericConfig(quad_panels=2, quad_nodes=8)
         fd = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("bump_test"), config=cfg)
@@ -244,9 +237,76 @@ class TestFilterLtiDataset:
         decomp = decompose(make_filter_bank(family, rho, period, 6, 6))
         (g_x, _, g_int), _ = _interval_moments(aircraft_system, decomp)
         rel = build_relation_matrices(aircraft_system, decomp, NumericConfig(quad_panels=32))
-        ref = np.hstack([rel.a_bar, rel.b_bar])
+        # lowpass moments belong to g(tau) = e^{rho (tau - T)}, e^{-rho T} times decompose's g
+        scale = np.exp(-rho * period) if family == "lowpass" else 1.0
+        ref = scale * np.hstack([rel.a_bar, rel.b_bar])
+        g_ref = scale * rel.g_bar[0, 0]
         assert np.linalg.norm(g_x - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert abs(g_int - rel.g_bar[0, 0]) <= 1e-12 * abs(rel.g_bar[0, 0])
+        assert abs(g_int - g_ref) <= 1e-12 * abs(g_ref)
+
+    @pytest.mark.parametrize("rho_t", (0.1, 10.0, 100.0, 720.0, 1e4))
+    def test_lowpass_exact_at_any_rho_t(self, rho_t, aircraft_system, aircraft_input):
+        """The balanced lowpass split neither overflows nor underflows.
+
+        The Van Loan block [[-rho T I, I], [0, M T]] has norm about rho T, so
+        the rounding of its exponential, and with it the residual, grows in
+        proportion to rho T.
+        """
+        bank = make_filter_bank("lowpass", rho_t / T, T, 6, 6)
+        fd = filter_lti_dataset(aircraft_system, aircraft_input, bank)
+        res = identify(fd, aircraft_system.n, aircraft_system.m)
+        assert res.informative
+        rel = verify_algebraic(fd, aircraft_system) / np.linalg.norm(fd.x_df)
+        assert rel <= 1e-12 * max(1.0, rho_t)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rejects_period_mismatch(self, family, aircraft_system, aircraft_input):
+        bank = make_filter_bank(family, RHO[family], 2 * T, 6, 6)
+        with pytest.raises(ValidationError, match=r"T=0\.1.*T=0\.2"):
+            filter_lti_dataset(aircraft_system, aircraft_input, bank)
+        with pytest.raises(ValidationError, match=r"T=0\.1.*T=0\.2"):
+            filtered_input_data(bank, aircraft_input)
+
+
+def _gate_system(kind, n, norm_t, period, rng):
+    """A with ||A||_2 T = norm_t: random, stiff (negative eigenvalues over four
+    decades) or unstable (eigenvalues with positive real part)."""
+    if kind == "random":
+        a = rng.standard_normal((n, n))
+    elif kind == "stiff":
+        v = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+        a = v @ np.diag(-np.logspace(-4, 0, n)) @ np.linalg.inv(v)
+    else:
+        a = rng.standard_normal((n, n))
+        a += np.linalg.norm(a, 2) * np.eye(n)
+    a *= norm_t / (period * np.linalg.norm(a, 2))
+    return LtiSystem(a=a, b=rng.standard_normal((n, 2)), x0=np.zeros(n))
+
+
+class TestNodePropagators:
+    @pytest.mark.parametrize("kind", ("random", "stiff", "unstable"))
+    @pytest.mark.parametrize("norm_t", (0.1, 1.0, 5.0, 20.0))
+    def test_panel_powers_match_per_node_exponentials(self, kind, norm_t):
+        """(e^{M h})^p e^{M c_i} agrees with one exponential per node.
+
+        The product chain amplifies rounding by ||e^{M h}||^p. For these
+        matrices that growth is mostly the growth of e^{M tau} itself, so the
+        relative error stays a few hundred roundings even at ||A|| T = 20.
+        """
+        rng = np.random.default_rng(round(10 * norm_t))
+        for period in (0.01, 0.1, 1.0):
+            for n in (4, 10):
+                sys_ = _gate_system(kind, n, norm_t, period, rng)
+                for panels in (8, 16):
+                    taus, _, tops = _node_propagators(sys_, period, panels, 16)
+                    ref = np.array([np.hstack(transition(sys_, float(t))) for t in taus])
+                    err = np.linalg.norm(tops - ref) / np.linalg.norm(ref)
+                    assert err <= 1e-12, (period, n, panels, err)
+
+    def test_overflow_is_loud(self):
+        sys_ = LtiSystem(a=np.array([[800.0]]), b=np.ones((1, 1)), x0=np.zeros(1))
+        with pytest.raises(NumericalError):
+            _node_propagators(sys_, 1.0, 8, 16)
 
 
 class TestLowpassRealization:
