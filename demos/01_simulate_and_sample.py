@@ -9,7 +9,8 @@ Run:  python3 demos/01_simulate_and_sample.py
 
 import numpy as np
 
-from ctsid import aircraft, dense_trajectory, discretize, rk4_oracle, simulate_sampled
+from ctsid import aircraft, dense_trajectory, discretize, simulate_sampled
+from ctsid.oracles import rk4_oracle
 
 np.set_printoptions(precision=4, suppress=True)
 

@@ -18,13 +18,13 @@ from ctsid import (
     discretize,
     factorization_residual,
     filter_lti_dataset,
-    frobenius_distance,
     identify,
     identify_discrete,
     make_filter_bank,
     simulate_sampled,
     verify_algebraic,
 )
+from ctsid.linalg import frobenius_distance
 from ctsid.sysid import expm_consistency
 
 np.set_printoptions(precision=4, suppress=True)

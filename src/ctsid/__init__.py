@@ -1,7 +1,13 @@
 """Experiment design and generalized-filtering identification for
-continuous-time LTI systems under piecewise-constant inputs."""
+continuous-time LTI systems under piecewise-constant inputs.
 
-from .config import DEFAULT_CONFIG, NumericConfig
+The top level holds the pipeline and its checks. Internals stay importable
+from their modules (ctsid.design, ctsid.linalg, ...), and the independent
+oracles (RK4, quadrature filtering, low-pass ODE realization) from
+ctsid.oracles, which this package does not import.
+"""
+
+from .config import NumericConfig
 from .design import (
     CyclingPolicy,
     DesignResult,
@@ -9,10 +15,7 @@ from .design import (
     ReplayPlant,
     SeededRandomPolicy,
     SimulatedPlant,
-    choose_input,
     hankel,
-    image_membership,
-    kernel_certificate,
     pe_check,
     rank_condition,
     run_online_design,
@@ -30,12 +33,6 @@ from .filtering import (
     build_relation_matrices,
     factorization_residual,
     filter_lti_dataset,
-    filter_signal,
-    filtered_derivative_data,
-    filtered_input_data,
-    lowpass_derivative_identity,
-    lowpass_realization,
-    quad_piece,
     verify_algebraic,
 )
 from .filters import (
@@ -44,18 +41,9 @@ from .filters import (
     build_F_bar,
     decompose,
     eval_g,
-    eval_g_deriv,
-    left_limit_g,
     make_filter_bank,
 )
-from .linalg import (
-    RankReport,
-    expm,
-    frobenius_distance,
-    left_kernel_basis,
-    pinv,
-    svd_rank,
-)
+from .linalg import RankReport, svd_rank
 from .ltisim import (
     DiscreteSystem,
     LtiSystem,
@@ -65,17 +53,57 @@ from .ltisim import (
     check_nonpathological,
     dense_trajectory,
     discretize,
-    rk4_oracle,
     simulate_sampled,
     state_at,
     state_fn,
-    step,
 )
-from .sysid import (
-    IdentificationResult,
-    identify,
-    identify_discrete,
-    informativity_check,
-)
+from .sysid import IdentificationResult, identify, identify_discrete
+
+__all__ = [
+    "CyclingPolicy",
+    "Decomposition",
+    "DesignFailureError",
+    "DesignResult",
+    "DiscreteSystem",
+    "FilterBank",
+    "FilteredDataset",
+    "IdentificationResult",
+    "KernelCertificate",
+    "LtiSystem",
+    "NumericConfig",
+    "NumericalError",
+    "PiecewiseConstantInput",
+    "RankReport",
+    "RelationMatrices",
+    "ReplayPlant",
+    "SampledDataset",
+    "SeededRandomPolicy",
+    "SimulatedPlant",
+    "Trajectory",
+    "ValidationError",
+    "VerificationError",
+    "build_F_bar",
+    "build_relation_matrices",
+    "check_nonpathological",
+    "decompose",
+    "dense_trajectory",
+    "discretize",
+    "eval_g",
+    "factorization_residual",
+    "filter_lti_dataset",
+    "hankel",
+    "identify",
+    "identify_discrete",
+    "make_filter_bank",
+    "pe_check",
+    "rank_condition",
+    "run_online_design",
+    "simulate_sampled",
+    "state_at",
+    "state_fn",
+    "svd_rank",
+    "verify_algebraic",
+    "verify_intersample",
+]
 
 __version__ = "0.1.0"

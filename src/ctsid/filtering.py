@@ -12,17 +12,18 @@ g_l, so the state derivative is never evaluated:
     x_df_l = sum_j [ g_l(t_j^-) x(t_j) - g_l(t_{j-1}) x(t_{j-1})
                      - int_{t_{j-1}}^{t_j} g'_l(t) x(t) dt ].
 
-filter_lti_dataset uses the decomposition g_l(tau + jT) = g(tau) f_l(jT):
-every integral over a sampling interval is a moment of g or g' against
-e^{[[A, B], [0, 0]] tau} on [0, T], applied to [chi_j; mu_j] and weighted by
-F_bar. The moments are closed-form matrix exponentials (Van Loan) for
-lowpass, laguerre and poly_test, and composite Gauss-Legendre for bump_test,
-whose node propagators come from powers of one panel's exponential.
+filter_lti_dataset uses the split g_l(tau + jT) = g(tau) F_bar[j, l-1] of the
+family's spec (ctsid.filters): every integral over a sampling interval is a
+moment of g or g' against e^{[[A, B], [0, 0]] tau} on [0, T], applied to
+[chi_j; mu_j] and weighted by F_bar. The moments are closed-form matrix
+exponentials (Van Loan) for lowpass, laguerre and poly_test, and composite
+Gauss-Legendre for bump_test, whose node propagators come from powers of one
+panel's exponential.
 
-The module also builds, independently by quadrature, the block matrices
-(A_bar, B_bar, G_bar, C_bar, F_bar) of [x_f; u_f] = C_bar * [chi; mu] * F_bar
-as a check, and keeps pointwise quadrature paths (filter_signal,
-filtered_input_data, filtered_derivative_data) as oracles.
+The module also builds, independently by quadrature over the paper's split
+(decompose), the block matrices (A_bar, B_bar, G_bar, C_bar, F_bar) of
+[x_f; u_f] = C_bar * [chi; mu] * F_bar as a check. The pointwise quadrature
+oracles live in ctsid.oracles.
 """
 
 from __future__ import annotations
@@ -33,15 +34,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import NumericalError, ValidationError
-from .filters import (
-    Decomposition,
-    FilterBank,
-    build_F_bar,
-    decompose,
-    eval_g,
-    eval_g_deriv,
-    left_limit_g,
-)
+from .filters import Decomposition, FilterBank, build_F_bar
 from .linalg import expm
 from .ltisim import (
     LtiSystem,
@@ -99,114 +92,6 @@ def gauss_legendre_panels(a: float, b: float, panels: int, nodes: int = 16):
     return ts, ws
 
 
-def quad_piece(f, a: float, b: float, panels: int | None = None, nodes: int = 16):
-    """Composite Gauss-Legendre integral of a smooth (vector-valued) function.
-
-    Returns (value, error_estimate) where the estimate is the difference
-    against a run with doubled panel count.
-    """
-    if not a < b:
-        raise ValidationError("require a < b")
-    panels = DEFAULT_CONFIG.quad_panels if panels is None else panels
-
-    def run(p):
-        ts, ws = gauss_legendre_panels(a, b, p, nodes)
-        samples = np.array([np.asarray(f(t), dtype=float) for t in ts])
-        if not np.all(np.isfinite(samples)):
-            raise ValidationError("non-finite integrand sample")
-        return np.tensordot(ws, samples, axes=(0, 0))
-
-    coarse = run(panels)
-    fine = run(2 * panels)
-    return fine, float(np.max(np.abs(fine - coarse)))
-
-
-def filter_signal(
-    bank: FilterBank,
-    w,
-    extra_splits=(),
-    config: NumericConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
-    """Generic path of the filtering map: w_f[:, l-1] = int g_l w.
-
-    ``w`` is evaluated pointwise; integration proceeds piecewise between
-    consecutive breakpoints of g_l merged with any extra split times
-    (e.g. input switches). Prefer filter_lti_dataset for the LTI pipeline.
-    """
-    w0 = np.atleast_1d(np.asarray(w(0.0), dtype=float))
-    out = np.zeros((w0.size, bank.M))
-    for ell in range(1, bank.M + 1):
-        pts = set(np.round(bank.breakpoints(ell), 15))
-        pts.update(s for s in extra_splits if bank.breakpoints(ell)[0] < s < bank.breakpoints(ell)[-1])
-        pts = sorted(pts)
-        total = np.zeros(w0.size)
-        for a, b in zip(pts[:-1], pts[1:]):
-            val, _ = quad_piece(
-                lambda t: eval_g(bank, ell, t) * np.atleast_1d(np.asarray(w(t), dtype=float)),
-                a,
-                b,
-                panels=config.quad_panels,
-                nodes=config.quad_nodes,
-            )
-            total += val
-        out[:, ell - 1] = total
-    return out
-
-
-def filtered_input_data(
-    bank: FilterBank,
-    inp: PiecewiseConstantInput,
-    config: NumericConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
-    """u_f exactly, as sum_j (int_{jT}^{(j+1)T} g_l) mu_j over the support."""
-    _check_input(bank, inp)
-    out = np.zeros((inp.m, bank.M))
-    for ell in range(1, bank.M + 1):
-        for j in bank.support_intervals(ell):
-            val, _ = quad_piece(
-                lambda t: eval_g(bank, ell, t),
-                j * bank.T,
-                (j + 1) * bank.T,
-                panels=config.quad_panels,
-                nodes=config.quad_nodes,
-            )
-            out[:, ell - 1] += float(val) * inp.levels[:, j]
-    return out
-
-
-def filtered_derivative_data(
-    bank: FilterBank,
-    state,
-    config: NumericConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
-    """x_df by integration by parts; ``state`` maps t in [0, N*T] to x(t).
-
-    The state must be continuous (it is, for any trajectory of the plant),
-    so x(t_j^-) = x(t_j) and only the filter's left limits matter.
-    """
-    x0 = np.atleast_1d(np.asarray(state(0.0), dtype=float))
-    out = np.zeros((x0.size, bank.M))
-    for ell in range(1, bank.M + 1):
-        bps = bank.breakpoints(ell)
-        total = np.zeros(x0.size)
-        for a, b in zip(bps[:-1], bps[1:]):
-            xa = np.atleast_1d(np.asarray(state(a), dtype=float))
-            xb = np.atleast_1d(np.asarray(state(b), dtype=float))
-            g_left = left_limit_g(bank, ell, b)
-            g_right_of_a = eval_g(bank, ell, a)
-            val, _ = quad_piece(
-                lambda t: eval_g_deriv(bank, ell, t)
-                * np.atleast_1d(np.asarray(state(t), dtype=float)),
-                a,
-                b,
-                panels=config.quad_panels,
-                nodes=config.quad_nodes,
-            )
-            total += g_left * xb - g_right_of_a * xa - val
-        out[:, ell - 1] = total
-    return out
-
-
 def _node_propagators(sys: LtiSystem, T: float, panels: int, nodes: int):
     """(taus, ws, tops) for composite Gauss-Legendre quadrature on [0, T].
 
@@ -245,27 +130,9 @@ def _check_input(bank: FilterBank, inp: PiecewiseConstantInput) -> None:
         raise ValidationError("input shorter than the filter horizon")
 
 
-def _interval_split(decomp: Decomposition):
-    """(g(0), g(T^-), F_bar) of the split filter_lti_dataset computes with.
-
-    This is the decomposition's own split except for lowpass, which takes
-    g(tau) = e^{rho (tau - T)} and F_bar[j, l-1] = e^{rho (j + 1 - l) T} for
-    j < l: every factor is at most 1, so nothing overflows or underflows
-    into a wrong result at any rho T. The paper's split (g = e^{rho tau})
-    carries e^{rho T} in G and e^{-rho T} in F_bar.
-    """
-    bank = decomp.bank
-    if bank.family != "lowpass":
-        g_0, g_end = decomp.g(np.array([0.0, bank.T]))
-        return g_0, g_end, build_F_bar(decomp)
-    rho_t = bank.rho * bank.T
-    lag = np.subtract.outer(np.arange(bank.N), np.arange(bank.M))  # j + 1 - l
-    return np.exp(-rho_t), 1.0, np.where(lag <= 0, np.exp(rho_t * np.minimum(lag, 0)), 0.0)
-
-
 def _interval_moments(
     sys: LtiSystem,
-    decomp: Decomposition,
+    bank: FilterBank,
     config: NumericConfig = DEFAULT_CONFIG,
 ):
     """Moments of the interval filter g against the augmented exponential.
@@ -273,8 +140,8 @@ def _interval_moments(
     With M = [[A, B], [0, 0]], returns the pair (fine, coarse) of triples
     (G_x, G'_x, int g), where G_x is the top n rows of
     G = int_0^T g(tau) e^{M tau} dtau and G'_x the same with g'. The lower
-    rows of G are [0, (int g) I]. g is the one of _interval_split: for
-    lowpass e^{rho (tau - T)}, e^{-rho T} times the decomposition's g.
+    rows of G are [0, (int g) I]. g is the family spec's: for lowpass
+    e^{rho (tau - T)}, for bump_test exp(-rho tau^2 / (T^2 - tau^2)).
 
     lowpass takes one exponential of the Van Loan block
     [[-rho T I, I], [0, M T]], whose top-right block is
@@ -288,17 +155,16 @@ def _interval_moments(
     up to rounding, so coarse is fine. bump_test has no closed form: fine and
     coarse are composite Gauss-Legendre at 2 * quad_panels and quad_panels.
     """
-    bank = decomp.bank
     n, p = sys.n, sys.n + sys.m
     rho, T = bank.rho, bank.T
     if bank.family == "bump_test":
 
         def quadrature(panels: int):
             taus, ws, tops = _node_propagators(sys, T, panels, config.quad_nodes)
-            wg = ws * decomp.g(taus)
+            wg = ws * bank._spec.g(rho, T, taus)
             return (
                 np.tensordot(wg, tops, axes=1),
-                np.tensordot(ws * decomp.g_deriv(taus), tops, axes=1),
+                np.tensordot(ws * bank._spec.g_deriv(rho, T, taus), tops, axes=1),
                 float(np.sum(wg)),
             )
 
@@ -334,7 +200,7 @@ def filter_lti_dataset(
 ) -> FilteredDataset:
     """Full filtered dataset for an LTI trajectory, through the factorization.
 
-    With S = [chi; mu] over the first N intervals, a split
+    With S = [chi; mu] over the first N intervals, the family spec's split
     g_l(tau + jT) = g(tau) F_bar[j, l-1] of the filters,
     G = int_0^T g(tau) e^{[[A, B], [0, 0]] tau} dtau, G' the same with g',
     and G_x, G'_x their top n rows:
@@ -342,16 +208,27 @@ def filter_lti_dataset(
         [x_f; u_f] = G S F_bar
         x_df = (g(T^-) chi_{1..N} - g(0) chi_{0..N-1} - G'_x S) F_bar.
 
-    The split is the decomposition's, except for lowpass, which moves the
-    factor e^{-rho T} from F_bar into g so that it stays exact at any rho T
-    (see _interval_split). quadrature_report holds |fine - coarse| per
-    matrix: exact zeros for the closed-form families, the panel-doubling
-    difference for bump_test. ``config`` (quad_panels, quad_nodes) only
-    matters for bump_test. Requires N >= M and inp.T equal to bank.T.
+    The spec's split keeps every factor in floating-point range: lowpass is
+    exact at any rho T, bump_test while e^{-rho} is a normal double. When
+    some filter's largest F_bar coefficient is below the smallest normal
+    double (bump_test beyond rho of about 708.4), its data would vanish or
+    lose precision, and NumericalError is raised instead. quadrature_report
+    holds |fine - coarse| per matrix: exact zeros for the closed-form
+    families, the panel-doubling difference for bump_test. ``config``
+    (quad_panels, quad_nodes) only matters for bump_test. Requires N >= M
+    and inp.T equal to bank.T.
     """
-    decomp = decompose(bank)
+    bank._require_n_ge_m(bank.N)
     _check_input(bank, inp)
-    g_0, g_end, f_bar = _interval_split(decomp)
+    f_bar = bank._lag_matrix()
+    peak = float(f_bar.max(axis=0).min())
+    if peak < np.finfo(float).tiny:
+        raise NumericalError(
+            f"{bank.family} filters vanish in double precision at rho={bank.rho!r}: "
+            f"the largest F_bar coefficient of some filter is {peak:.3g}, "
+            f"below the smallest normal number {np.finfo(float).tiny:.3g}"
+        )
+    g_0, g_end = bank._spec.g(bank.rho, bank.T, 0.0), bank._spec.g_end(bank.rho, bank.T)
     sd = simulate_sampled(sys, inp)
     n, N = sys.n, bank.N
     s_f = sd.stacked()[:, :N] @ f_bar
@@ -365,7 +242,7 @@ def filter_lti_dataset(
             g_end * next_f - g_0 * s_f[:n] - gd_x @ s_f,
         )
 
-    fine, coarse = (data(mom) for mom in _interval_moments(sys, decomp, config))
+    fine, coarse = (data(mom) for mom in _interval_moments(sys, bank, config))
     report = {
         name: np.abs(f - c)
         for name, f, c in zip(("x_f", "u_f", "x_df"), fine, coarse)
@@ -380,52 +257,6 @@ def filter_lti_dataset(
         M=bank.M,
         quadrature_report=report,
     )
-
-
-def lowpass_realization(
-    rho: float,
-    w,
-    T: float,
-    M: int,
-    substeps: int = 1024,
-) -> np.ndarray:
-    """Realize low-pass filtering as the ODE dwf/dt = -rho wf + w, wf(0) = 0.
-
-    RK4 on a step h = T/substeps aligned with the sampling grid, so input
-    switches at multiples of T are never straddled. Returns wf(l*T) for
-    l = 1..M as columns; these equal the quadrature-filtered values w_f_l.
-    """
-    h = T / substeps
-    w0 = np.atleast_1d(np.asarray(w(0.0), dtype=float))
-    wf = np.zeros_like(w0)
-    out = np.empty((w0.size, M))
-    for ell in range(M):
-        for i in range(substeps):
-            t = ell * T + i * h
-
-            def f(y, tt):
-                return -rho * y + np.atleast_1d(np.asarray(w(tt), dtype=float))
-
-            k1 = f(wf, t)
-            k2 = f(wf + 0.5 * h * k1, t + 0.5 * h)
-            k3 = f(wf + 0.5 * h * k2, t + 0.5 * h)
-            k4 = f(wf + h * k3, t + h)
-            wf = wf + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[:, ell] = wf
-    return out
-
-
-def lowpass_derivative_identity(
-    rho: float,
-    w,
-    T: float,
-    ell: int,
-    w_f_ell: np.ndarray,
-) -> np.ndarray:
-    """Derivative-free identity w_df_l = w(lT) - e^{-rho l T} w(0) - rho w_f_l."""
-    w0 = np.atleast_1d(np.asarray(w(0.0), dtype=float))
-    w_end = np.atleast_1d(np.asarray(w(ell * T), dtype=float))
-    return w_end - np.exp(-rho * ell * T) * w0 - rho * np.asarray(w_f_ell, dtype=float)
 
 
 def build_relation_matrices(

@@ -13,13 +13,22 @@ inside its support and has a finite left limit at every breakpoint, which
 is exactly what the integration-by-parts formula for derivative-free
 filtered data needs.
 
-All four families decompose as g_l(tau + jT) = g(tau) * f_l(jT), which is
-what ties the filtered data to the sampled data through the N x M
-coefficient matrix F_bar = [f_l(jT)].
+All four families decompose as g_l(tau + jT) = g(tau) * f_l(jT), and f_l(jT)
+depends only on the lag d = j - (l - 1). Each family is written once, as a
+private _Spec: g and g' on [0, T), the left limit g(T^-), the lag
+coefficient c(d) and the range of lags where c can be nonzero. Every
+function below derives from it: g_l(jT + tau) = g(tau) c(j - l + 1) and
+F_bar[j, l-1] = c(j - l + 1).
+
+A spec takes the split that keeps every factor in floating-point range:
+lowpass g(tau) = e^{rho (tau - T)} with c(d) = e^{rho d T} <= 1, bump_test
+g(0) = 1 with c(0) = e^{-rho}. decompose returns the paper's split,
+g = s * g_spec and f_l(jT) = c(d) / s, with one scalar s per family.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,10 +36,73 @@ import numpy as np
 
 from .errors import ValidationError
 
-FAMILIES = ("poly_test", "bump_test", "laguerre", "lowpass")
 
-# exp(x) underflows to 0 well before x = -700; treat anything below as 0
-_EXP_UNDERFLOW = -700.0
+@dataclass(frozen=True)
+class _Spec:
+    """One family on one sampling interval; (rho, T) are the first arguments."""
+
+    g: Callable  # (rho, T, tau) -> g(tau) for tau in [0, T)
+    g_deriv: Callable  # (rho, T, tau) -> g'(tau)
+    g_end: Callable  # (rho, T) -> g(T^-)
+    c: Callable  # (rho, T, d) -> c(d) for lags d in the range below
+    lags: tuple[float, float]  # c(d) can be nonzero only for lags[0] <= d <= lags[1]
+    scale: Callable  # (rho, T) -> s; the paper's split is g = s g_spec, f = c / s
+
+
+def _bump_g(rho, T, tau):
+    # exp(-rho T^2 / (T^2 - tau^2)) = e^{-rho} exp(-rho tau^2 / (T^2 - tau^2)); 0 at tau = T.
+    # (T - tau)(T + tau) keeps full relative accuracy near tau = T, where T^2 - tau^2 cancels.
+    with np.errstate(divide="ignore"):
+        return np.exp(-rho * tau**2 / ((T - tau) * (T + tau)))
+
+
+def _bump_g_deriv(rho, T, tau):
+    g = _bump_g(rho, T, tau)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        chain = -2 * rho * T * T * tau / ((T - tau) * (T + tau)) ** 2
+    return np.where(g > 0, g * chain, 0.0)
+
+
+def _ones(rho, T, d):
+    return np.ones(np.shape(d))
+
+
+_SPECS = {
+    "poly_test": _Spec(
+        g=lambda rho, T, tau: rho * tau**2 * (T - tau) ** 2,
+        g_deriv=lambda rho, T, tau: rho * (2 * tau * (T - tau) ** 2 - 2 * tau**2 * (T - tau)),
+        g_end=lambda rho, T: 0.0,
+        c=_ones,
+        lags=(0, 0),
+        scale=lambda rho, T: 1.0,
+    ),
+    "bump_test": _Spec(
+        g=_bump_g,
+        g_deriv=_bump_g_deriv,
+        g_end=lambda rho, T: 0.0,
+        c=lambda rho, T, d: np.exp(-rho) * _ones(rho, T, d),
+        lags=(0, 0),
+        scale=lambda rho, T: np.exp(-rho),
+    ),
+    "laguerre": _Spec(
+        g=lambda rho, T, tau: np.sqrt(2 * rho) * np.exp(-rho * tau),
+        g_deriv=lambda rho, T, tau: -rho * np.sqrt(2 * rho) * np.exp(-rho * tau),
+        g_end=lambda rho, T: np.sqrt(2 * rho) * np.exp(-rho * T),
+        c=lambda rho, T, d: np.exp(-rho * T * d),
+        lags=(0, math.inf),
+        scale=lambda rho, T: 1.0,
+    ),
+    "lowpass": _Spec(
+        g=lambda rho, T, tau: np.exp(rho * (tau - T)),
+        g_deriv=lambda rho, T, tau: rho * np.exp(rho * (tau - T)),
+        g_end=lambda rho, T: 1.0,
+        c=lambda rho, T, d: np.exp(rho * T * d),
+        lags=(-math.inf, 0),
+        scale=lambda rho, T: np.exp(rho * T),
+    ),
+}
+
+FAMILIES = tuple(_SPECS)
 
 
 @dataclass(frozen=True)
@@ -55,14 +127,15 @@ class FilterBank:
     def horizon(self) -> float:
         return self.N * self.T
 
+    @property
+    def _spec(self) -> _Spec:
+        return _SPECS[self.family]
+
     def support_intervals(self, ell: int) -> range:
         """Indices j such that [jT, (j+1)T) lies inside supp(g_ell)."""
         self._check_ell(ell)
-        if self.family in ("poly_test", "bump_test"):
-            return range(ell - 1, ell)
-        if self.family == "laguerre":
-            return range(ell - 1, self.N)
-        return range(0, min(ell, self.N))  # lowpass
+        lo, hi = self._spec.lags
+        return range(max(0, ell - 1 + lo), min(self.N, ell + hi))
 
     def breakpoints(self, ell: int) -> np.ndarray:
         """Multiples of T bounding the smooth pieces of g_ell, support edges included."""
@@ -73,19 +146,22 @@ class FilterBank:
         if not 1 <= ell <= self.M:
             raise ValidationError(f"filter index {ell} outside 1..{self.M}")
 
+    def _coef(self, ell, j) -> np.ndarray:
+        """c(j - ell + 1) for interval indices j >= 0, zero outside the lag range."""
+        lo, hi = self._spec.lags
+        d = j - (ell - 1)
+        inside = (j >= 0) & (d >= lo) & (d <= hi)
+        return np.where(inside, self._spec.c(self.rho, self.T, np.where(inside, d, 0)), 0.0)
 
-@dataclass(frozen=True)
-class Decomposition:
-    """The pair (g, f_l) with g_l(tau + jT) = g(tau) f_l(jT).
+    def _lag_matrix(self, N: int | None = None, M: int | None = None) -> np.ndarray:
+        """N x M matrix c(j - l + 1) of the spec's split, j = 0..N-1, l = 1..M."""
+        N = self.N if N is None else N
+        M = self.M if M is None else M
+        return self._coef(np.arange(1, M + 1), np.arange(N)[:, None])
 
-    g is nonnegative on [0, T) with positive integral; f_l is evaluated on
-    the sampling grid jT when assembling F_bar.
-    """
-
-    bank: FilterBank
-    g: Callable[[np.ndarray], np.ndarray]
-    g_deriv: Callable[[np.ndarray], np.ndarray]
-    f: Callable[[int, np.ndarray], np.ndarray]  # (ell, t) -> f_ell(t)
+    def _require_n_ge_m(self, N: int) -> None:
+        if N < self.M:
+            raise ValidationError(f"decomposition requires N >= M (N={N}, M={self.M})")
 
 
 def make_filter_bank(
@@ -94,44 +170,32 @@ def make_filter_bank(
     return FilterBank(family=family, rho=rho, T=T, M=M, N=N)
 
 
-def _in_support(bank: FilterBank, ell: int, t: np.ndarray) -> np.ndarray:
-    lo = (ell - 1) * bank.T
-    if bank.family in ("poly_test", "bump_test"):
-        return (t >= lo) & (t < ell * bank.T)
-    if bank.family == "laguerre":
-        return (t >= lo) & (t < bank.horizon)
-    return (t >= 0) & (t < ell * bank.T)  # lowpass
+def _interval_index(t: np.ndarray, T: float) -> np.ndarray:
+    """j with j*T <= t < (j+1)*T, computed with the same products j*T as the breakpoints."""
+    j = np.floor(t / T)
+    j -= t < j * T
+    j += t >= (j + 1) * T
+    return j
 
 
-def _bump_core(rho: float, T: float, tp: np.ndarray) -> np.ndarray:
-    # tp = t - (l-1)T in [0, T); exponent -> -inf as tp -> T, return exact 0 there
-    with np.errstate(divide="ignore", over="ignore"):
-        denom = T * T - tp * tp
-        expo = np.where(denom > 0, -rho * T * T / np.where(denom > 0, denom, 1.0), -np.inf)
-    return np.where(expo > _EXP_UNDERFLOW, np.exp(np.maximum(expo, _EXP_UNDERFLOW)), 0.0)
-
-
-def eval_g(bank: FilterBank, ell: int, t) -> np.ndarray | float:
-    """Closed-form value of g_ell at time(s) t in [0, N*T)."""
+def _on_pieces(bank: FilterBank, ell: int, t, piece: Callable):
+    """piece(rho, T, tau) * c(j - ell + 1) at t = jT + tau in [0, N*T)."""
     bank._check_ell(ell)
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     if np.any(t_arr < 0) or np.any(t_arr >= bank.horizon):
         raise ValidationError("t outside [0, N*T)")
-    rho, T = bank.rho, bank.T
-    lo = (ell - 1) * T
-    mask = _in_support(bank, ell, t_arr)
-    if bank.family == "poly_test":
-        vals = rho * (t_arr - lo) ** 2 * (ell * T - t_arr) ** 2
-    elif bank.family == "bump_test":
-        vals = _bump_core(rho, T, np.clip(t_arr - lo, 0.0, T))
-    elif bank.family == "laguerre":
-        vals = np.sqrt(2 * rho) * np.exp(rho * (lo - t_arr) * mask)
-    else:  # lowpass
-        vals = np.exp(rho * (t_arr - ell * T) * mask)
-    out = np.where(mask, vals, 0.0)
+    j = _interval_index(t_arr, bank.T)
+    coef = bank._coef(ell, j)
+    tau = np.clip(t_arr - j * bank.T, 0.0, bank.T)  # the subtraction may round past T
+    out = np.where(coef != 0, piece(bank.rho, bank.T, tau) * coef, 0.0)
     return float(out[0]) if scalar else out
+
+
+def eval_g(bank: FilterBank, ell: int, t) -> np.ndarray | float:
+    """Closed-form value of g_ell at time(s) t in [0, N*T)."""
+    return _on_pieces(bank, ell, t, bank._spec.g)
 
 
 def eval_g_deriv(bank: FilterBank, ell: int, t) -> np.ndarray | float:
@@ -140,134 +204,54 @@ def eval_g_deriv(bank: FilterBank, ell: int, t) -> np.ndarray | float:
     At a breakpoint the right-sided derivative is returned, matching the
     half-open pieces [t_{j-1}, t_j) the filters are defined on.
     """
-    bank._check_ell(ell)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    scalar = np.asarray(t, dtype=float).ndim == 0
-    if np.any(t_arr < 0) or np.any(t_arr >= bank.horizon):
-        raise ValidationError("t outside [0, N*T)")
-    rho, T = bank.rho, bank.T
-    lo = (ell - 1) * T
-    mask = _in_support(bank, ell, t_arr)
-    if bank.family == "poly_test":
-        a, b = t_arr - lo, ell * T - t_arr
-        vals = rho * (2 * a * b * b - 2 * a * a * b)
-    elif bank.family == "bump_test":
-        tp = np.clip(t_arr - lo, 0.0, T)
-        g = _bump_core(rho, T, tp)
-        with np.errstate(divide="ignore", over="ignore"):
-            denom = T * T - tp * tp
-            chain = np.where(denom > 0, -2 * rho * T * T * tp / np.where(denom > 0, denom, 1.0) ** 2, 0.0)
-        vals = g * chain
-    elif bank.family == "laguerre":
-        vals = -rho * np.sqrt(2 * rho) * np.exp(rho * (lo - t_arr) * mask)
-    else:  # lowpass: g' = rho * g on the support
-        vals = rho * np.exp(rho * (t_arr - ell * T) * mask)
-    out = np.where(mask, vals, 0.0)
-    return float(out[0]) if scalar else out
+    return _on_pieces(bank, ell, t, bank._spec.g_deriv)
 
 
 def left_limit_g(bank: FilterBank, ell: int, t_j: float) -> float:
     """Left limit g_ell(t_j^-) at a breakpoint t_j (a positive multiple of T)."""
     bank._check_ell(ell)
-    T = bank.T
-    j = t_j / T
+    j = t_j / bank.T
     if t_j <= 0 or t_j > bank.horizon + 1e-12 or abs(j - round(j)) > 1e-9:
         raise ValidationError(f"{t_j} is not a breakpoint")
     j = int(round(j))
-    support = bank.support_intervals(ell)
-    if j < support.start + 1 or j > support.stop:
-        # approaching from outside the support (or from a zero piece)
-        return 0.0
-    rho = bank.rho
-    lo = (ell - 1) * T
-    if bank.family == "poly_test":
-        return float(rho * (j * T - lo) ** 2 * (ell * T - j * T) ** 2)
-    if bank.family == "bump_test":
-        tp = j * T - lo
-        return float(_bump_core(rho, T, np.array([tp]))[0]) if tp < T else 0.0
-    if bank.family == "laguerre":
-        return float(np.sqrt(2 * rho) * np.exp(rho * (lo - j * T)))
-    return float(np.exp(rho * (j * T - ell * T)))  # lowpass; equals 1 at j = ell
+    # the piece ending at t_j is interval j - 1
+    return float(bank._coef(ell, j - 1)) * float(bank._spec.g_end(bank.rho, bank.T))
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """The paper's pair (g, f_l) with g_l(tau + jT) = g(tau) f_l(jT).
+
+    g is nonnegative on [0, T) with positive integral; f_l is evaluated on
+    the sampling grid jT when assembling F_bar.
+    """
+
+    bank: FilterBank
+
+    @property
+    def _scale(self) -> float:
+        return self.bank._spec.scale(self.bank.rho, self.bank.T)
+
+    def g(self, tau):
+        tau = np.asarray(tau, dtype=float)
+        return self._scale * self.bank._spec.g(self.bank.rho, self.bank.T, tau)
+
+    def g_deriv(self, tau):
+        tau = np.asarray(tau, dtype=float)
+        return self._scale * self.bank._spec.g_deriv(self.bank.rho, self.bank.T, tau)
+
+    def f(self, ell: int, t) -> np.ndarray:
+        """f_ell(jT) at grid times t = jT."""
+        j = _interval_index(np.asarray(t, dtype=float), self.bank.T)
+        return self.bank._coef(ell, j) / self._scale
 
 
 def decompose(bank: FilterBank, N: int | None = None) -> Decomposition:
     """The (g, f_l) pair with g_l(tau + jT) = g(tau) f_l(jT); needs N >= M."""
-    N = bank.N if N is None else N
-    if N < bank.M:
-        raise ValidationError(f"decomposition requires N >= M (N={N}, M={bank.M})")
-    rho, T = bank.rho, bank.T
-
-    if bank.family == "poly_test":
-
-        def g(tau):
-            tau = np.asarray(tau, dtype=float)
-            return rho * tau**2 * (T - tau) ** 2
-
-        def g_deriv(tau):
-            tau = np.asarray(tau, dtype=float)
-            return rho * (2 * tau * (T - tau) ** 2 - 2 * tau**2 * (T - tau))
-
-        def f(ell, t):
-            t = np.asarray(t, dtype=float)
-            return np.where((t >= (ell - 1) * T) & (t < ell * T), 1.0, 0.0)
-
-    elif bank.family == "bump_test":
-
-        def g(tau):
-            return _bump_core(rho, T, np.asarray(tau, dtype=float))
-
-        def g_deriv(tau):
-            tau = np.asarray(tau, dtype=float)
-            gv = _bump_core(rho, T, tau)
-            with np.errstate(divide="ignore", over="ignore"):
-                denom = T * T - tau * tau
-                chain = np.where(
-                    denom > 0, -2 * rho * T * T * tau / np.where(denom > 0, denom, 1.0) ** 2, 0.0
-                )
-            return gv * chain
-
-        def f(ell, t):
-            t = np.asarray(t, dtype=float)
-            return np.where((t >= (ell - 1) * T) & (t < ell * T), 1.0, 0.0)
-
-    elif bank.family == "laguerre":
-
-        def g(tau):
-            tau = np.asarray(tau, dtype=float)
-            return np.sqrt(2 * rho) * np.exp(-rho * tau)
-
-        def g_deriv(tau):
-            tau = np.asarray(tau, dtype=float)
-            return -rho * np.sqrt(2 * rho) * np.exp(-rho * tau)
-
-        def f(ell, t):
-            t = np.asarray(t, dtype=float)
-            mask = (t >= (ell - 1) * T) & (t < N * T)
-            return np.where(mask, np.exp(rho * ((ell - 1) * T - t) * mask), 0.0)
-
-    else:  # lowpass
-
-        def g(tau):
-            tau = np.asarray(tau, dtype=float)
-            return np.exp(rho * tau)
-
-        def g_deriv(tau):
-            tau = np.asarray(tau, dtype=float)
-            return rho * np.exp(rho * tau)
-
-        def f(ell, t):
-            t = np.asarray(t, dtype=float)
-            mask = (t >= 0) & (t < ell * T)
-            return np.where(mask, np.exp(rho * (t - ell * T) * mask), 0.0)
-
-    return Decomposition(bank=bank, g=g, g_deriv=g_deriv, f=f)
+    bank._require_n_ge_m(bank.N if N is None else N)
+    return Decomposition(bank=bank)
 
 
 def build_F_bar(decomp: Decomposition, N: int | None = None, M: int | None = None) -> np.ndarray:
     """N x M matrix with entry (j, l) = f_l(jT), j = 0..N-1, l = 1..M."""
-    bank = decomp.bank
-    N = bank.N if N is None else N
-    M = bank.M if M is None else M
-    grid = np.arange(N) * bank.T
-    cols = [np.atleast_1d(decomp.f(ell, grid)) for ell in range(1, M + 1)]
-    return np.column_stack(cols)
+    return decomp.bank._lag_matrix(N, M) / decomp._scale

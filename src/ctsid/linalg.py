@@ -57,15 +57,27 @@ def svd_rank(m, rtol: float = 1e-8) -> RankReport:
 
 
 def pinv(m, rtol: float = 1e-8) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse, thresholded exactly like svd_rank."""
+    """Moore-Penrose pseudo-inverse, thresholded exactly like svd_rank.
+
+    Raises NumericalError when the result is not finite, which happens when
+    a kept singular value is so small (subnormal) that its reciprocal
+    overflows.
+    """
     a = _as_matrix(m)
     if rtol <= 0:
         raise ValidationError("rtol must be positive")
     u, s, vh = _svd(a)
     tol = rtol * (s[0] if s.size else 0.0) * max(a.shape)
-    inv = np.where(s > tol, 1.0 / np.where(s > tol, s, 1.0), 0.0)
+    kept = s > tol
     k = s.size
-    return vh[:k].T @ (inv[:, None] * u[:, :k].T)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
+        out = vh[:k].T @ (inv[:, None] * u[:, :k].T)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError(
+            f"pseudo-inverse is not finite: smallest kept singular value {s[kept].min():.3g}"
+        )
+    return out
 
 
 def left_kernel_basis(m, rtol: float = 1e-8) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Continuous-time LTI plant, exact zero-order-hold discretization, exact
-intra-interval state evaluation, pathological-sampling check, and an
-independent RK4 oracle.
+intra-interval state evaluation and the pathological-sampling check.
 
 States under a piecewise-constant input evolve exactly as
 
     x(kT + tau) = e^{A tau} chi_k + (int_0^tau e^{A s} ds) B mu_k,
 
 so everything here reduces to matrix exponentials of the augmented matrix
-[[A, B], [0, 0]], never to approximate ODE integration (the RK4 path exists
-only as a cross-check).
+[[A, B], [0, 0]], never to approximate ODE integration (the RK4 cross-check
+lives in ctsid.oracles).
 """
 
 from __future__ import annotations
@@ -287,41 +286,3 @@ def check_nonpathological(
                 if abs(diff - 1j * q * base) < tol or abs(diff + 1j * q * base) < tol:
                     offending.append((j, l, q))
     return (len(offending) == 0), offending
-
-
-def rk4_oracle(
-    sys: LtiSystem, inp: PiecewiseConstantInput, h: float | None = None
-) -> Trajectory:
-    """Classical RK4 integration, stepping never across an input switch.
-
-    Independent of the matrix-exponential path; used only to cross-check it.
-    """
-    h = inp.T / DEFAULT_CONFIG.rk4_substeps if h is None else h
-    if h <= 0:
-        raise ValidationError("h must be positive")
-    steps = inp.T / h
-    if abs(steps - round(steps)) > 1e-9:
-        raise ValidationError("h must divide T")
-    steps = int(round(steps))
-    a, b = sys.a, sys.b
-    times = [0.0]
-    states = [sys.x0.copy()]
-    x = sys.x0.copy()
-    for k in range(inp.N):
-        u = inp.levels[:, k]
-        bu = b @ u
-
-        def f(y):
-            return a @ y + bu
-
-        for i in range(steps):
-            k1 = f(x)
-            k2 = f(x + 0.5 * h * k1)
-            k3 = f(x + 0.5 * h * k2)
-            k4 = f(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            times.append(k * inp.T + (i + 1) * h)
-            states.append(x.copy())
-    return Trajectory(
-        times=np.array(times), states=np.array(states).T, input_ref=inp
-    )

@@ -34,16 +34,9 @@ from ctsid import (
     decompose,
     factorization_residual,
     filter_lti_dataset,
-    filter_signal,
-    filtered_derivative_data,
-    frobenius_distance,
     identify,
-    informativity_check,
-    lowpass_derivative_identity,
-    lowpass_realization,
     make_filter_bank,
     rank_condition,
-    rk4_oracle,
     run_online_design,
     simulate_sampled,
     state_fn,
@@ -51,6 +44,15 @@ from ctsid import (
     verify_algebraic,
     verify_intersample,
 )
+from ctsid.linalg import frobenius_distance
+from ctsid.oracles import (
+    filter_signal,
+    filtered_derivative_data,
+    lowpass_derivative_identity,
+    lowpass_realization,
+    rk4_oracle,
+)
+from ctsid.sysid import informativity_check
 from ctsid.filters import FAMILIES
 from conftest import random_controllable_system
 

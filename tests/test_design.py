@@ -12,10 +12,7 @@ from ctsid import (
     SeededRandomPolicy,
     SimulatedPlant,
     ValidationError,
-    choose_input,
     hankel,
-    image_membership,
-    kernel_certificate,
     pe_check,
     rank_condition,
     run_online_design,
@@ -23,6 +20,7 @@ from ctsid import (
     state_at,
     verify_intersample,
 )
+from ctsid.design import choose_input, image_membership, kernel_certificate
 from conftest import random_controllable_system
 
 

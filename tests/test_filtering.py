@@ -12,14 +12,8 @@ from ctsid import (
     decompose,
     factorization_residual,
     filter_lti_dataset,
-    filter_signal,
-    filtered_derivative_data,
-    filtered_input_data,
     identify,
-    lowpass_derivative_identity,
-    lowpass_realization,
     make_filter_bank,
-    quad_piece,
     simulate_sampled,
     state_fn,
     verify_algebraic,
@@ -27,6 +21,14 @@ from ctsid import (
 from ctsid.filtering import _interval_moments, _node_propagators
 from ctsid.filters import FAMILIES
 from ctsid.ltisim import transition
+from ctsid.oracles import (
+    filter_signal,
+    filtered_derivative_data,
+    filtered_input_data,
+    lowpass_derivative_identity,
+    lowpass_realization,
+    quad_piece,
+)
 from conftest import random_controllable_system
 
 T = aircraft.T
@@ -235,7 +237,7 @@ class TestFilterLtiDataset:
     def test_closed_form_moments_match_quadrature(self, family, period, rho, aircraft_system):
         """The closed-form interval moments agree with fine Gauss-Legendre."""
         decomp = decompose(make_filter_bank(family, rho, period, 6, 6))
-        (g_x, _, g_int), _ = _interval_moments(aircraft_system, decomp)
+        (g_x, _, g_int), _ = _interval_moments(aircraft_system, decomp.bank)
         rel = build_relation_matrices(aircraft_system, decomp, NumericConfig(quad_panels=32))
         # lowpass moments belong to g(tau) = e^{rho (tau - T)}, e^{-rho T} times decompose's g
         scale = np.exp(-rho * period) if family == "lowpass" else 1.0
@@ -258,6 +260,22 @@ class TestFilterLtiDataset:
         assert res.informative
         rel = verify_algebraic(fd, aircraft_system) / np.linalg.norm(fd.x_df)
         assert rel <= 1e-12 * max(1.0, rho_t)
+
+    @pytest.mark.parametrize("rho", (2.0, 100.0, 690.0, 699.0))
+    def test_bump_exact_to_the_edge_of_double_precision(self, rho, aircraft_system, aircraft_input):
+        """The bump split g(0) = 1, F_bar = e^{-rho} I keeps g exact while e^{-rho}
+        is a normal double; the same 1e-5 bar as criterion 4."""
+        bank = make_filter_bank("bump_test", rho, T, 6, 6)
+        fd = filter_lti_dataset(aircraft_system, aircraft_input, bank)
+        res = identify(fd, aircraft_system.n, aircraft_system.m, truth=aircraft_system)
+        assert res.informative
+        assert res.frobenius_error <= 1e-5
+
+    @pytest.mark.parametrize("rho", (745.0, 1000.0))
+    def test_vanishing_bump_filters_raise(self, rho, aircraft_system, aircraft_input):
+        bank = make_filter_bank("bump_test", rho, T, 6, 6)
+        with pytest.raises(NumericalError, match=rf"bump_test.*rho={rho!r}"):
+            filter_lti_dataset(aircraft_system, aircraft_input, bank)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_rejects_period_mismatch(self, family, aircraft_system, aircraft_input):

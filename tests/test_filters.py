@@ -6,11 +6,9 @@ from ctsid import (
     build_F_bar,
     decompose,
     eval_g,
-    eval_g_deriv,
-    left_limit_g,
     make_filter_bank,
 )
-from ctsid.filters import FAMILIES
+from ctsid.filters import FAMILIES, eval_g_deriv, left_limit_g
 
 T = 0.1
 RHO = {"poly_test": 1e6, "bump_test": 2.0, "laguerre": 1.0, "lowpass": 1.0}
@@ -156,18 +154,48 @@ class TestLeftLimit:
             left_limit_g(bank_of("lowpass"), 1, 0.15)
 
 
+def paper_g_ell(family, rho, ell, j, tau, N=6):
+    """The paper's g_ell at t = jT + tau, written out as in the filters.py docstring."""
+    t = j * T + tau
+    if family == "poly_test":
+        inside = j == ell - 1
+        value = rho * (t - (ell - 1) * T) ** 2 * (ell * T - t) ** 2
+    elif family == "bump_test":
+        inside = j == ell - 1
+        with np.errstate(divide="ignore", over="ignore"):  # values outside the support are unused
+            value = np.exp(-rho * T**2 / (T**2 - (t - (ell - 1) * T) ** 2))
+    elif family == "laguerre":
+        inside = ell - 1 <= j < N
+        value = np.sqrt(2 * rho) * np.exp(rho * ((ell - 1) * T - t))
+    else:  # lowpass
+        inside = 0 <= j < ell
+        value = np.exp(rho * (t - ell * T))
+    return value if inside else np.zeros_like(tau)
+
+
 class TestDecomposition:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_reconstructs_g_ell(self, family):
-        """g_ell(tau + jT) == g(tau) * f_ell(jT) pointwise over the horizon."""
+        """eval_g and g(tau) * f_ell(jT) equal the paper's g_ell(tau + jT)."""
         bank = bank_of(family)
         dec = decompose(bank)
         taus = np.linspace(0, T, 13, endpoint=False)
         for ell in range(1, bank.M + 1):
             for j in range(bank.N):
+                paper = paper_g_ell(family, RHO[family], ell, j, taus)
                 direct = eval_g(bank, ell, taus + j * T)
                 product = dec.g(taus) * dec.f(ell, np.array([j * T]))[0]
-                assert np.allclose(direct, product, rtol=1e-12, atol=1e-300), (ell, j)
+                assert np.allclose(direct, paper, rtol=1e-12, atol=1e-300), (ell, j)
+                assert np.allclose(product, paper, rtol=1e-12, atol=1e-300), (ell, j)
+
+    def test_lowpass_in_range_at_large_rho_t(self):
+        """At rho T = 1e4 the paper's factors e^{rho tau} and e^{-rho T} leave
+        double range, but g_ell itself is at most 1."""
+        bank = bank_of("lowpass", rho=1e4 / T)
+        grid = np.linspace(0, bank.horizon, 601, endpoint=False)
+        for ell in range(1, bank.M + 1):
+            vals = eval_g(bank, ell, grid)
+            assert np.all(np.isfinite(vals)) and np.all(vals <= 1.0), ell
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_g_deriv_matches(self, family):
@@ -181,7 +209,7 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_g_positive_integral(self, family):
-        from ctsid import quad_piece
+        from ctsid.oracles import quad_piece
 
         bank = bank_of(family)
         dec = decompose(bank)

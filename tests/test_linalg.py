@@ -5,13 +5,10 @@ import ctsid.aircraft as aircraft
 from ctsid import (
     NumericalError,
     ValidationError,
-    expm,
-    frobenius_distance,
-    left_kernel_basis,
-    pinv,
     simulate_sampled,
     svd_rank,
 )
+from ctsid.linalg import expm, frobenius_distance, left_kernel_basis, pinv
 
 
 class TestSvdRank:
@@ -46,6 +43,11 @@ class TestPinv:
 
     def test_singular_diagonal(self):
         assert np.allclose(pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
+
+    def test_subnormal_kept_singular_value_raises(self):
+        # the threshold underflows to 0, so 1e-309 is kept and 1/1e-309 overflows
+        with pytest.raises(NumericalError, match="not finite"):
+            pinv(np.diag([1e-309, 1e-310]))
 
     def test_full_row_rank_right_inverse(self):
         # oracle: minimum-norm solution x = M^T (M M^T)^{-1} b per column

@@ -9,12 +9,12 @@ from ctsid import (
     check_nonpathological,
     dense_trajectory,
     discretize,
-    rk4_oracle,
     simulate_sampled,
     state_at,
     state_fn,
-    step,
 )
+from ctsid.ltisim import step
+from ctsid.oracles import rk4_oracle
 from conftest import controllability_matrix, random_controllable_system
 
 

@@ -4,19 +4,20 @@ import pytest
 import ctsid.aircraft as aircraft
 from ctsid import (
     FilteredDataset,
+    LtiSystem,
+    NumericalError,
     PiecewiseConstantInput,
     SampledDataset,
     ValidationError,
     filter_lti_dataset,
-    frobenius_distance,
     identify,
     identify_discrete,
-    informativity_check,
     make_filter_bank,
     simulate_sampled,
 )
 from ctsid.filters import FAMILIES
-from ctsid.sysid import expm_consistency
+from ctsid.linalg import frobenius_distance
+from ctsid.sysid import expm_consistency, informativity_check
 from conftest import random_controllable_system
 
 T = aircraft.T
@@ -134,6 +135,18 @@ class TestIdentify:
         s = np.linalg.svd(fd.stacked(), compute_uv=False)
         bound = 10 * eps * (1 + np.linalg.norm(res.ab_hat)) * (1 + s[0]) / s[-1]
         assert res.frobenius_error <= bound
+
+
+def test_subnormal_data_raise(aircraft_system, aircraft_input):
+    """Data scaled by 1e-308 have subnormal singular values, whose reciprocals
+    overflow: both identifications raise instead of returning inf or nan."""
+    sys_ = LtiSystem(a=aircraft_system.a, b=aircraft_system.b, x0=aircraft_system.x0 * 1e-308)
+    inp = PiecewiseConstantInput(T=T, levels=aircraft_input.levels * 1e-308)
+    fd = aircraft_filtered("poly_test", sys_, inp)
+    with pytest.raises(NumericalError, match="not finite"):
+        identify(fd, 4, 2)
+    with pytest.raises(NumericalError, match="not finite"):
+        identify_discrete(simulate_sampled(sys_, inp))
 
 
 class TestIdentifyDiscrete:
