@@ -17,7 +17,6 @@ from .design import (
     SimulatedPlant,
     hankel,
     pe_check,
-    rank_condition,
     run_online_design,
     verify_intersample,
 )
@@ -55,7 +54,6 @@ from .ltisim import (
     discretize,
     simulate_sampled,
     state_at,
-    state_fn,
 )
 from .sysid import IdentificationResult, identify, identify_discrete
 
@@ -96,11 +94,9 @@ __all__ = [
     "identify_discrete",
     "make_filter_bank",
     "pe_check",
-    "rank_condition",
     "run_online_design",
     "simulate_sampled",
     "state_at",
-    "state_fn",
     "svd_rank",
     "verify_algebraic",
     "verify_intersample",

@@ -23,7 +23,6 @@ from .design import (
     CyclingPolicy,
     SeededRandomPolicy,
     SimulatedPlant,
-    rank_condition,
     run_online_design,
     verify_intersample,
 )
@@ -61,7 +60,7 @@ from .serialize import (
     trajectory_to_csv,
     write_json,
 )
-from .sysid import identify, informativity_check
+from .sysid import identify
 
 
 def _load_config(args) -> dict:
@@ -308,7 +307,7 @@ def cmd_demo_aircraft(args) -> int:
             )
         results[family] = identify(fd, n, m, truth=sys_)
 
-    rank_sampled = rank_condition(sd, n, m).rank
+    rank_sampled = svd_rank(sd.stacked()).rank
     rank_poly = results["poly_test"].stacked_rank.rank
     rows.append(("rank [chi; mu]", 6, float(rank_sampled), 0.0))
     rows.append(("rank [x_f; u_f]", 6, float(rank_poly), 0.0))

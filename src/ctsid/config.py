@@ -20,22 +20,17 @@ class NumericConfig:
         quad_nodes it sets the quadrature of build_relation_matrices, of the
         pointwise oracles and, in filter_lti_dataset, of bump_test only: the
         other families use closed-form interval moments.
-    rk4_substeps: RK4 steps per sampling period for the integration oracle.
-    pathological_q_max: largest integer multiple of 2*pi/T checked when
-        testing the sampling time against the eigenvalue-difference condition.
     """
 
     rank_rtol: float = 1e-8
     quad_nodes: int = 16
     quad_panels: int = 8
-    rk4_substeps: int = 4096
-    pathological_q_max: int = 32
 
     def __post_init__(self):
         if self.rank_rtol <= 0:
             raise ValueError("rank_rtol must be positive")
-        if self.quad_nodes < 2 or self.quad_panels < 1 or self.rk4_substeps < 1:
-            raise ValueError("quadrature/RK4 settings must be positive")
+        if self.quad_nodes < 2 or self.quad_panels < 1:
+            raise ValueError("quadrature settings must be positive")
 
 
 DEFAULT_CONFIG = NumericConfig()

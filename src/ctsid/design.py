@@ -10,7 +10,8 @@ steps the stacked matrix [chi; mu] has full rank n + m.
 
 Also provides the block-Hankel persistency-of-excitation test (the offline
 alternative, which needs at least n + m + n*m samples) and the intersample
-rank verification.
+rank verification. The simulated plant and the intersample check evaluate
+the state through the system's one exact propagator (ltisim.discretize).
 """
 
 from __future__ import annotations
@@ -19,18 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import DesignFailureError, NumericalError, ValidationError
 from .linalg import RankReport, left_kernel_basis, svd_rank
 from .ltisim import (
-    DiscreteSystem,
     LtiSystem,
     PiecewiseConstantInput,
     SampledDataset,
     discretize,
-    state_at,
-    step,
-    transition,
+    simulate_sampled,
 )
 
 
@@ -61,7 +58,7 @@ class SimulatedPlant:
     def __init__(self, sys: LtiSystem, T: float):
         self.sys = sys
         self.T = T
-        self._dsys: DiscreteSystem = discretize(sys, T)
+        self._prop = discretize(sys, T)
         self.reset()
 
     @property
@@ -74,29 +71,27 @@ class SimulatedPlant:
 
     def reset(self, x0=None) -> np.ndarray:
         self._state = self.sys.x0.copy() if x0 is None else np.asarray(x0, float).copy()
-        self._inputs: list[np.ndarray] = []
+        self._starts: list[np.ndarray] = []  # [chi_k; mu_k] per completed interval
         return self._state.copy()
 
     def apply(self, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float).reshape(-1)
-        self._state = step(self._dsys, self._state, mu)
-        self._inputs.append(mu)
+        if mu.shape[0] != self.m or self._state.shape != (self.n,):
+            raise ValidationError("dimension mismatch in apply")
+        self._starts.append(np.concatenate([self._state, mu]))
+        self._state = self._prop.a_t @ self._state + self._prop.b_t @ mu
         return self._state.copy()
 
     def probe(self, t: float, interval: int | None = None) -> np.ndarray:
         """State at t + kT inside a completed interval (default: the latest)."""
-        if not self._inputs:
+        if not self._starts:
             raise ValidationError("no interval completed yet")
         if not 0 <= t < self.T:
             raise ValidationError("probe offset must lie in [0, T)")
-        k = len(self._inputs) - 1 if interval is None else interval
-        if not 0 <= k < len(self._inputs):
+        k = len(self._starts) - 1 if interval is None else interval
+        if not 0 <= k < len(self._starts):
             raise ValidationError(f"interval {k} not completed")
-        inp = PiecewiseConstantInput(T=self.T, levels=np.column_stack(self._inputs))
-        return state_at(self.sys, inp, k * self.T + t)
-
-    def recorded_input(self) -> PiecewiseConstantInput:
-        return PiecewiseConstantInput(T=self.T, levels=np.column_stack(self._inputs))
+        return self._prop.at(t)[0] @ self._starts[k]
 
 
 class ReplayPlant:
@@ -323,14 +318,6 @@ def run_online_design(
     return result
 
 
-def rank_condition(sd: SampledDataset, n: int, m: int, rtol: float = 1e-8) -> RankReport:
-    """Rank of the stacked (n+m) x N sampled-data matrix."""
-    stacked = sd.stacked()
-    if stacked.shape[0] != n + m:
-        raise ValidationError("dataset dimensions disagree with n, m")
-    return svd_rank(stacked, rtol)
-
-
 def verify_intersample(
     sys: LtiSystem,
     inp: PiecewiseConstantInput,
@@ -340,19 +327,13 @@ def verify_intersample(
     """Rank of [chi(t); mu] for each offset t in [0, T); needs ground truth.
 
     chi_k(t) = e^{At} chi_k + (int_0^t e^{As} ds B) mu_k for every interval,
-    so each offset costs one augmented exponential.
+    so each distinct offset costs one augmented exponential.
     """
-    from .ltisim import simulate_sampled
-
+    offsets = np.asarray(t_list, dtype=float).reshape(-1)
+    if not np.all((offsets >= 0) & (offsets < inp.T)):
+        raise ValidationError("intersample offsets must lie in [0, T)")
     sd = simulate_sampled(sys, inp)
-    out = []
-    for t in t_list:
-        if not 0 <= t < inp.T:
-            raise ValidationError("intersample offsets must lie in [0, T)")
-        if t == 0:
-            chi_t = sd.chi
-        else:
-            e_a, h_b = transition(sys, float(t))
-            chi_t = e_a @ sd.chi + h_b @ sd.mu
-        out.append((float(t), svd_rank(np.vstack([chi_t, sd.mu]), rtol)))
-    return out
+    chi_t = discretize(sys, inp.T).at(offsets) @ sd.stacked()
+    return [
+        (float(t), svd_rank(np.vstack([chi, sd.mu]), rtol)) for t, chi in zip(offsets, chi_t)
+    ]

@@ -17,13 +17,13 @@ family's spec (ctsid.filters): every integral over a sampling interval is a
 moment of g or g' against e^{[[A, B], [0, 0]] tau} on [0, T], applied to
 [chi_j; mu_j] and weighted by F_bar. The moments are closed-form matrix
 exponentials (Van Loan) for lowpass, laguerre and poly_test, and composite
-Gauss-Legendre for bump_test, whose node propagators come from powers of one
-panel's exponential.
+Gauss-Legendre for bump_test, at the node propagators of the system's one
+exact propagator (ltisim.discretize), which builds them once per (A, B, T).
 
 The module also builds, independently by quadrature over the paper's split
 (decompose), the block matrices (A_bar, B_bar, G_bar, C_bar, F_bar) of
-[x_f; u_f] = C_bar * [chi; mu] * F_bar as a check. The pointwise quadrature
-oracles live in ctsid.oracles.
+[x_f; u_f] = C_bar * [chi; mu] * F_bar as a check, on the same memoized
+nodes. The pointwise quadrature oracles live in ctsid.oracles.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .ltisim import (
     LtiSystem,
     PiecewiseConstantInput,
     SampledDataset,
-    _augmented,
+    discretize,
     simulate_sampled,
 )
 
@@ -81,45 +81,6 @@ class RelationMatrices:
         return c
 
 
-def gauss_legendre_panels(a: float, b: float, panels: int, nodes: int = 16):
-    """Nodes and weights of composite Gauss-Legendre on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    ts = (half[:, None] * x[None, :] + mids[:, None]).ravel()
-    ws = (half[:, None] * w[None, :]).ravel()
-    return ts, ws
-
-
-def _node_propagators(sys: LtiSystem, T: float, panels: int, nodes: int):
-    """(taus, ws, tops) for composite Gauss-Legendre quadrature on [0, T].
-
-    tops[i] = [e^{A tau_i}, int_0^{tau_i} e^{A s} ds B], the top n rows of
-    e^{M tau_i} with M = [[A, B], [0, 0]]. The nodes are tau = p h + c_i with
-    h = T / panels, so by the semigroup property e^{M tau} = (e^{M h})^p e^{M c_i}:
-    nodes + 1 exponentials and a chain of panel powers instead of one
-    exponential per node. Rounding grows along the chain by up to
-    ||e^{M h}||^p; the tests hold it within 1e-12 relative of per-node
-    exponentials for stiff, unstable and random A up to ||A|| T = 20.
-    """
-    taus, ws = gauss_legendre_panels(0.0, T, panels, nodes)
-    aug = _augmented(sys)
-    local = np.array([expm(aug * c) for c in taus[:nodes]])
-    powers = np.empty((panels, *aug.shape))
-    powers[0] = np.eye(aug.shape[0])
-    if panels > 1:
-        powers[1] = expm(aug * (T / panels))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(2, panels):
-            powers[p] = powers[p - 1] @ powers[1]
-        tops = np.matmul(powers[:, None, : sys.n], local[None])
-    tops = tops.reshape(panels * nodes, sys.n, -1)
-    if not np.all(np.isfinite(tops)):
-        raise NumericalError("panel-power propagators overflowed (e^{A T} too large)")
-    return taus, ws, tops
-
-
 def _check_input(bank: FilterBank, inp: PiecewiseConstantInput) -> None:
     """The input must share the bank's sampling period and cover its horizon."""
     if abs(inp.T - bank.T) > 1e-12 * bank.T:
@@ -157,10 +118,11 @@ def _interval_moments(
     """
     n, p = sys.n, sys.n + sys.m
     rho, T = bank.rho, bank.T
+    prop = discretize(sys, T)
     if bank.family == "bump_test":
 
         def quadrature(panels: int):
-            taus, ws, tops = _node_propagators(sys, T, panels, config.quad_nodes)
+            taus, ws, tops = prop.nodes(panels, config.quad_nodes)
             wg = ws * bank._spec.g(rho, T, taus)
             return (
                 np.tensordot(wg, tops, axes=1),
@@ -169,7 +131,7 @@ def _interval_moments(
             )
 
         return quadrature(2 * config.quad_panels), quadrature(config.quad_panels)
-    aug = _augmented(sys)
+    aug = prop.aug
     if bank.family == "poly_test":
         chain = np.eye(6 * p, k=p)
         chain[:p, :p] = aug * T
@@ -268,7 +230,7 @@ def build_relation_matrices(
     G_bar = I * int g, F_bar from the decomposition. Verification path only
     (needs the ground-truth A, B)."""
     bank = decomp.bank
-    taus, ws, tops = _node_propagators(sys, bank.T, config.quad_panels, config.quad_nodes)
+    taus, ws, tops = discretize(sys, bank.T).nodes(config.quad_panels, config.quad_nodes)
     gv = np.atleast_1d(decomp.g(taus))
     g_top = np.tensordot(ws * gv, tops, axes=1)
     a_bar, b_bar = g_top[:, : sys.n], g_top[:, sys.n :]

@@ -99,7 +99,8 @@ def expm(a) -> np.ndarray:
         raise ValidationError("expm requires a square matrix")
     if not np.all(np.isfinite(m)):
         raise ValidationError("expm requires finite entries")
-    out = scipy.linalg.expm(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        out = scipy.linalg.expm(m)
     if not np.all(np.isfinite(out)):
         raise NumericalError("expm overflowed (matrix norm too large)")
     return out

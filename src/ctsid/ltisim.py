@@ -1,13 +1,16 @@
-"""Continuous-time LTI plant, exact zero-order-hold discretization, exact
-intra-interval state evaluation and the pathological-sampling check.
+"""Continuous-time LTI plant, its exact zero-order-hold propagator and the
+pathological-sampling check.
 
 States under a piecewise-constant input evolve exactly as
 
     x(kT + tau) = e^{A tau} chi_k + (int_0^tau e^{A s} ds) B mu_k,
 
-so everything here reduces to matrix exponentials of the augmented matrix
-[[A, B], [0, 0]], never to approximate ODE integration (the RK4 cross-check
-lives in ctsid.oracles).
+the top n rows of e^{M tau}, M = [[A, B], [0, 0]], applied to [chi_k; mu_k].
+discretize(sys, T) returns the one DiscreteSystem per system and T that
+evaluates this map: the sampled step (A_T, B_T), the map at any offsets and
+at Gauss-Legendre nodes. Simulation, design, filtering and verification all
+go through it, never through approximate ODE integration (the RK4
+cross-check lives in ctsid.oracles).
 """
 
 from __future__ import annotations
@@ -16,35 +19,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, NumericConfig
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import expm
 
 
 @dataclass(frozen=True)
 class LtiSystem:
-    """Ground-truth continuous-time plant dx/dt = A x + B u, x(0) = x0."""
+    """Ground-truth continuous-time plant dx/dt = A x + B u, x(0) = x0, with
+    read-only copies of a, b and x0, so the propagators memoized on it hold."""
 
     a: np.ndarray
     b: np.ndarray
     x0: np.ndarray
+    _propagators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.atleast_2d(np.asarray(self.b, dtype=float))
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+        a = np.atleast_2d(np.array(self.a, dtype=float))
+        b = np.atleast_2d(np.array(self.b, dtype=float))
+        x0 = np.array(self.x0, dtype=float).reshape(-1)
         if a.shape[0] != a.shape[1]:
             raise ValidationError("A must be square")
         if b.shape[0] != a.shape[0]:
             raise ValidationError("B row count must match A")
         if x0.shape[0] != a.shape[0]:
             raise ValidationError("x0 length must match A")
-        for arr in (a, b, x0):
+        for name, arr in (("a", a), ("b", b), ("x0", x0)):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("system matrices must be finite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "x0", x0)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -93,20 +96,74 @@ class PiecewiseConstantInput:
         return self.levels[:, self.interval_of(t)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteSystem:
-    """Exact ZOH discretization: chi_{k+1} = A_T chi_k + B_T mu_k."""
+    """The exact ZOH propagator of one (A, B, T); discretize builds it.
 
+    aug is M = [[A, B], [0, 0]] and n the state dimension. a_t = e^{AT} and
+    b_t = int_0^T e^{At} B dt give the sampled step
+    chi_{k+1} = A_T chi_k + B_T mu_k; at and nodes give the top n rows of
+    e^{M tau} inside an interval. discretize shares one instance per system
+    and T, so every array it keeps is read-only. It holds no reference to
+    the system, which would make a reference cycle through the memo.
+    """
+
+    aug: np.ndarray
+    n: int
+    T: float
     a_t: np.ndarray
     b_t: np.ndarray
-    T: float
+    _nodes: dict = field(default_factory=dict, init=False, repr=False)
+
+    def at(self, offsets) -> np.ndarray:
+        """Top n rows of e^{M tau} per offset, shape (len(offsets), n, n + m).
+
+        One exponential per distinct offset, and exactly [I, 0] at tau = 0.
+        """
+        offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
+        distinct, index = np.unique(offsets, return_inverse=True)
+        tops = np.empty((distinct.size, self.n, self.aug.shape[0]))
+        for i, tau in enumerate(distinct):
+            tops[i] = expm(self.aug * tau)[: self.n] if tau else np.eye(*tops.shape[1:])
+        return tops[index]
+
+    def nodes(self, panels: int, nodes: int):
+        """(taus, ws, tops) of composite Gauss-Legendre quadrature on [0, T].
+
+        tops[i] is at(taus[i])[0]. The nodes are tau = p h + c_i with
+        h = T / panels, so by the semigroup property
+        e^{M tau} = (e^{M h})^p e^{M c_i}: nodes + 1 exponentials and a chain
+        of panel powers instead of one exponential per node. Rounding grows
+        along the chain by up to ||e^{M h}||^p; the tests hold it within
+        1e-12 relative of per-node exponentials for stiff, unstable and
+        random A up to ||A|| T = 20. Memoized per (panels, nodes).
+        """
+        if (panels, nodes) in self._nodes:
+            return self._nodes[panels, nodes]
+        taus, ws = gauss_legendre_panels(0.0, self.T, panels, nodes)
+        aug, n = self.aug, self.n
+        local = np.array([expm(aug * c) for c in taus[:nodes]])
+        powers = np.empty((panels, *aug.shape))
+        powers[0] = np.eye(aug.shape[0])
+        if panels > 1:
+            powers[1] = expm(aug * (self.T / panels))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in range(2, panels):
+                powers[p] = powers[p - 1] @ powers[1]
+            tops = np.matmul(powers[:, None, :n], local[None])
+        tops = tops.reshape(panels * nodes, n, -1)
+        if not np.all(np.isfinite(tops)):
+            raise NumericalError("panel-power propagators overflowed (e^{A T} too large)")
+        for arr in (taus, ws, tops):
+            arr.setflags(write=False)
+        self._nodes[panels, nodes] = taus, ws, tops
+        return taus, ws, tops
 
 
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (n, len(times))
-    input_ref: PiecewiseConstantInput
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -158,6 +215,17 @@ class SampledDataset:
         return np.vstack([self.chi, self.mu])
 
 
+def gauss_legendre_panels(a: float, b: float, panels: int, nodes: int = 16):
+    """Nodes and weights of composite Gauss-Legendre on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    ts = (half[:, None] * x[None, :] + mids[:, None]).ravel()
+    ws = (half[:, None] * w[None, :]).ravel()
+    return ts, ws
+
+
 def _augmented(sys: LtiSystem) -> np.ndarray:
     n, m = sys.n, sys.m
     aug = np.zeros((n + m, n + m))
@@ -174,91 +242,55 @@ def transition(sys: LtiSystem, tau: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def discretize(sys: LtiSystem, T: float) -> DiscreteSystem:
-    """Exact ZOH discretization A_T = e^{AT}, B_T = int_0^T e^{At} B dt."""
+    """The exact ZOH propagator of sys at period T: A_T = e^{AT},
+    B_T = int_0^T e^{At} B dt. Built once per system and T, then memoized
+    on the system."""
     if T <= 0:
         raise ValidationError("T must be positive")
-    a_t, b_t = transition(sys, T)
-    return DiscreteSystem(a_t=a_t, b_t=b_t, T=T)
-
-
-def step(dsys: DiscreteSystem, chi_k, mu_k) -> np.ndarray:
-    chi_k = np.asarray(chi_k, dtype=float).reshape(-1)
-    mu_k = np.asarray(mu_k, dtype=float).reshape(-1)
-    if chi_k.shape[0] != dsys.a_t.shape[0] or mu_k.shape[0] != dsys.b_t.shape[1]:
-        raise ValidationError("dimension mismatch in step")
-    return dsys.a_t @ chi_k + dsys.b_t @ mu_k
+    prop = sys._propagators.get(T)
+    if prop is None:
+        a_t, b_t = transition(sys, T)
+        aug = _augmented(sys)
+        for arr in (aug, a_t, b_t):
+            arr.setflags(write=False)
+        prop = sys._propagators[T] = DiscreteSystem(aug=aug, n=sys.n, T=T, a_t=a_t, b_t=b_t)
+    return prop
 
 
 def simulate_sampled(sys: LtiSystem, inp: PiecewiseConstantInput) -> SampledDataset:
     """Propagate chi_0 = x0 through all N periods; exact at sampling instants."""
-    dsys = discretize(sys, inp.T)
+    if inp.m != sys.m:
+        raise ValidationError("input dimension does not match B")
+    prop = discretize(sys, inp.T)
     states = np.empty((sys.n, inp.N + 1))
     states[:, 0] = sys.x0
     for k in range(inp.N):
-        states[:, k + 1] = step(dsys, states[:, k], inp.levels[:, k])
+        states[:, k + 1] = prop.a_t @ states[:, k] + prop.b_t @ inp.levels[:, k]
     return SampledDataset(
         chi=states[:, : inp.N], mu=inp.levels, T=inp.T, chi_final=states[:, inp.N]
     )
 
 
-def state_at(sys: LtiSystem, inp: PiecewiseConstantInput, t: float) -> np.ndarray:
-    """Exact state at an arbitrary time in [0, N*T)."""
-    k = inp.interval_of(t)
-    tau = t - k * inp.T
-    chi = simulate_sampled(sys, inp).chi_all
-    if tau == 0.0:
-        return chi[:, k].copy()
-    e_a, h_b = transition(sys, tau)
-    return e_a @ chi[:, k] + h_b @ inp.levels[:, k]
+def state_at(sys: LtiSystem, inp: PiecewiseConstantInput, t) -> np.ndarray:
+    """Exact state at times t in [0, N*T): shape (n,) for a scalar t, else
+    (n, len(t)). One exponential per distinct offset t - kT and one batched
+    product over the intervals."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    k = np.array([inp.interval_of(s) for s in ts], dtype=int)
+    starts = simulate_sampled(sys, inp).stacked()[:, k]
+    x = np.einsum("lij,jl->il", discretize(sys, inp.T).at(ts - k * inp.T), starts)
+    return x[:, 0] if np.ndim(t) == 0 else x
 
 
 def dense_trajectory(sys: LtiSystem, inp: PiecewiseConstantInput, grid) -> Trajectory:
     """Exact states on a strictly increasing grid inside [0, N*T)."""
-    grid = np.asarray(grid, dtype=float)
-    chi = simulate_sampled(sys, inp).chi_all
-    out = np.empty((sys.n, grid.size))
-    for i, t in enumerate(grid):
-        k = inp.interval_of(t)
-        tau = t - k * inp.T
-        if tau == 0.0:
-            out[:, i] = chi[:, k]
-        else:
-            e_a, h_b = transition(sys, tau)
-            out[:, i] = e_a @ chi[:, k] + h_b @ inp.levels[:, k]
-    return Trajectory(times=grid, states=out, input_ref=inp)
-
-
-def state_fn(sys: LtiSystem, inp: PiecewiseConstantInput):
-    """Fast pointwise state evaluator on [0, N*T].
-
-    Propagators are memoized per interval offset, so evaluation grids whose
-    offsets repeat across sampling intervals (quadrature nodes, fixed-step
-    integrators) cost one augmented exponential per unique offset. The
-    closed endpoint t = N*T is allowed and returns the final sample.
-    """
-    chi = simulate_sampled(sys, inp).chi_all
-    memo: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def f(t: float) -> np.ndarray:
-        if t == inp.horizon:
-            return chi[:, -1].copy()
-        k = inp.interval_of(t)
-        tau = t - k * inp.T
-        if tau == 0.0:
-            return chi[:, k].copy()
-        key = round(tau, 14)
-        if key not in memo:
-            memo[key] = transition(sys, tau)
-        e_a, h_b = memo[key]
-        return e_a @ chi[:, k] + h_b @ inp.levels[:, k]
-
-    return f
+    return Trajectory(times=grid, states=state_at(sys, inp, grid))
 
 
 def check_nonpathological(
     sys: LtiSystem,
     T: float,
-    q_max: int | None = None,
+    q_max: int = 32,
     tol: float | None = None,
 ) -> tuple[bool, list[tuple[int, int, int]]]:
     """Test the sampling time against the eigenvalue-difference condition.
@@ -270,7 +302,6 @@ def check_nonpathological(
     """
     if T <= 0:
         raise ValidationError("T must be positive")
-    q_max = DEFAULT_CONFIG.pathological_q_max if q_max is None else q_max
     if q_max < 1:
         raise ValidationError("q_max must be >= 1")
     base = 2.0 * np.pi / T

@@ -21,9 +21,9 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import ValidationError
-from .filtering import _check_input, gauss_legendre_panels
+from .filtering import _check_input
 from .filters import FilterBank, eval_g, eval_g_deriv, left_limit_g
-from .ltisim import LtiSystem, PiecewiseConstantInput, Trajectory
+from .ltisim import LtiSystem, PiecewiseConstantInput, Trajectory, gauss_legendre_panels
 
 
 def quad_piece(f, a: float, b: float, panels: int | None = None, nodes: int = 16):
@@ -183,11 +183,11 @@ def lowpass_derivative_identity(
 def rk4_oracle(
     sys: LtiSystem, inp: PiecewiseConstantInput, h: float | None = None
 ) -> Trajectory:
-    """Classical RK4 integration, stepping never across an input switch.
+    """Classical RK4 with step h (T/4096 by default), never across an input switch.
 
     Independent of the matrix-exponential path; used only to cross-check it.
     """
-    h = inp.T / DEFAULT_CONFIG.rk4_substeps if h is None else h
+    h = inp.T / 4096 if h is None else h
     if h <= 0:
         raise ValidationError("h must be positive")
     steps = inp.T / h
@@ -213,6 +213,4 @@ def rk4_oracle(
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             times.append(k * inp.T + (i + 1) * h)
             states.append(x.copy())
-    return Trajectory(
-        times=np.array(times), states=np.array(states).T, input_ref=inp
-    )
+    return Trajectory(times=np.array(times), states=np.array(states).T)

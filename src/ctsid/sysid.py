@@ -32,14 +32,6 @@ class IdentificationResult:
         return np.hstack([self.a_hat, self.b_hat])
 
 
-def informativity_check(fd: FilteredDataset, n: int, m: int, rtol: float = 1e-8) -> RankReport:
-    """Rank of [x_f; u_f]; the data are informative iff it equals n + m."""
-    stacked = fd.stacked()
-    if stacked.shape[0] != n + m:
-        raise ValidationError("filtered data dimensions disagree with n, m")
-    return svd_rank(stacked, rtol)
-
-
 def identify(
     fd: FilteredDataset,
     n: int,
@@ -47,8 +39,10 @@ def identify(
     rtol: float = 1e-8,
     truth: LtiSystem | None = None,
 ) -> IdentificationResult:
-    """[A_hat B_hat] = x_df [x_f; u_f]^+, with rank and residual diagnostics."""
-    report = informativity_check(fd, n, m, rtol)
+    """[A_hat B_hat] = x_df [x_f; u_f]^+, informative iff rank [x_f; u_f] = n + m."""
+    if fd.x_f.shape[0] != n or fd.u_f.shape[0] != m:
+        raise ValidationError("filtered data dimensions disagree with n, m")
+    report = svd_rank(fd.stacked(), rtol)
     ab = fd.x_df @ pinv(fd.stacked(), rtol)
     a_hat, b_hat = ab[:, :n], ab[:, n:]
     residual = float(np.linalg.norm(fd.x_df - a_hat @ fd.x_f - b_hat @ fd.u_f))

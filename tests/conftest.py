@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from ctsid import LtiSystem, check_nonpathological, aircraft
+from ctsid import (
+    LtiSystem,
+    PiecewiseConstantInput,
+    aircraft,
+    check_nonpathological,
+    discretize,
+    simulate_sampled,
+)
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +19,33 @@ def aircraft_system():
 @pytest.fixture(scope="session")
 def aircraft_input():
     return aircraft.reference_input()
+
+
+def state_fn(sys_: LtiSystem, inp: PiecewiseConstantInput):
+    """Pointwise exact state on [0, N*T] for the quadrature oracles.
+
+    Propagators come from the system's one propagator and are memoized per
+    interval offset rounded to 14 decimals, so grids whose offsets repeat
+    across intervals (quadrature nodes, fixed-step integrators) cost one
+    exponential per offset. The closed endpoint t = N*T returns the final
+    sample.
+    """
+    sd = simulate_sampled(sys_, inp)
+    starts = sd.stacked()
+    prop = discretize(sys_, inp.T)
+    memo: dict[float, np.ndarray] = {}
+
+    def f(t: float) -> np.ndarray:
+        if t == inp.horizon:
+            return sd.chi_final.copy()
+        k = inp.interval_of(t)
+        tau = t - k * inp.T
+        key = round(tau, 14)
+        if key not in memo:
+            memo[key] = prop.at(tau)[0]
+        return memo[key] @ starts[:, k]
+
+    return f
 
 
 def controllability_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

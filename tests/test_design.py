@@ -14,10 +14,10 @@ from ctsid import (
     ValidationError,
     hankel,
     pe_check,
-    rank_condition,
     run_online_design,
     simulate_sampled,
     state_at,
+    svd_rank,
     verify_intersample,
 )
 from ctsid.design import choose_input, image_membership, kernel_certificate
@@ -249,16 +249,34 @@ class TestSimulatedPlantProbe:
         with pytest.raises(ValidationError):
             plant.probe(0.01)
 
+    def test_probe_starts_from_the_reset_state(self, aircraft_system):
+        x0 = np.array([0.5, 0.0, -1.0, 2.0])
+        plant = SimulatedPlant(aircraft_system, aircraft.T)
+        plant.reset(x0)
+        levels = np.array([[1.0, 0.0, 0.5], [0.0, -1.0, 0.5]])
+        for mu in levels.T:
+            plant.apply(mu)
+        inp = PiecewiseConstantInput(T=aircraft.T, levels=levels)
+        sys_ = LtiSystem(a=aircraft_system.a, b=aircraft_system.b, x0=x0)
+        for k, t in ((0, 0.0), (1, 0.03), (2, 0.099)):
+            assert np.allclose(
+                plant.probe(t, interval=k), state_at(sys_, inp, k * aircraft.T + t), rtol=1e-13
+            )
+
+    def test_apply_rejects_wrong_dimensions(self, aircraft_system):
+        plant = SimulatedPlant(aircraft_system, aircraft.T)
+        plant.reset()
+        with pytest.raises(ValidationError):
+            plant.apply([1.0, 0.0, 0.0])
+        plant.reset([1.0, 2.0])
+        with pytest.raises(ValidationError):
+            plant.apply([1.0, 0.0])
+
 
 class TestRankCondition:
     def test_aircraft_reference(self, aircraft_system, aircraft_input):
         sd = simulate_sampled(aircraft_system, aircraft_input)
-        assert rank_condition(sd, 4, 2).rank == 6
-
-    def test_dimension_check(self, aircraft_system, aircraft_input):
-        sd = simulate_sampled(aircraft_system, aircraft_input)
-        with pytest.raises(ValidationError):
-            rank_condition(sd, 3, 2)
+        assert svd_rank(sd.stacked()).rank == 6
 
 
 class TestVerifyIntersample:
@@ -272,7 +290,7 @@ class TestVerifyIntersample:
     def test_offset_zero_equals_sampled_rank(self, aircraft_system, aircraft_input):
         sd = simulate_sampled(aircraft_system, aircraft_input)
         [(t, rep)] = verify_intersample(aircraft_system, aircraft_input, [0.0])
-        assert rep.rank == rank_condition(sd, 4, 2).rank
+        assert rep.rank == svd_rank(sd.stacked()).rank
 
     def test_rejects_offsets_outside_period(self, aircraft_system, aircraft_input):
         with pytest.raises(ValidationError):

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import ctsid.aircraft as aircraft
+import ctsid.filtering
+import ctsid.linalg
+import ctsid.ltisim
 from ctsid import (
     LtiSystem,
     NumericConfig,
@@ -10,15 +13,15 @@ from ctsid import (
     ValidationError,
     build_relation_matrices,
     decompose,
+    discretize,
     factorization_residual,
     filter_lti_dataset,
     identify,
     make_filter_bank,
     simulate_sampled,
-    state_fn,
     verify_algebraic,
 )
-from ctsid.filtering import _interval_moments, _node_propagators
+from ctsid.filtering import _interval_moments
 from ctsid.filters import FAMILIES
 from ctsid.ltisim import transition
 from ctsid.oracles import (
@@ -29,7 +32,7 @@ from ctsid.oracles import (
     lowpass_realization,
     quad_piece,
 )
-from conftest import random_controllable_system
+from conftest import random_controllable_system, state_fn
 
 T = aircraft.T
 RHO = {
@@ -316,7 +319,7 @@ class TestNodePropagators:
             for n in (4, 10):
                 sys_ = _gate_system(kind, n, norm_t, period, rng)
                 for panels in (8, 16):
-                    taus, _, tops = _node_propagators(sys_, period, panels, 16)
+                    taus, _, tops = discretize(sys_, period).nodes(panels, 16)
                     ref = np.array([np.hstack(transition(sys_, float(t))) for t in taus])
                     err = np.linalg.norm(tops - ref) / np.linalg.norm(ref)
                     assert err <= 1e-12, (period, n, panels, err)
@@ -324,7 +327,7 @@ class TestNodePropagators:
     def test_overflow_is_loud(self):
         sys_ = LtiSystem(a=np.array([[800.0]]), b=np.ones((1, 1)), x0=np.zeros(1))
         with pytest.raises(NumericalError):
-            _node_propagators(sys_, 1.0, 8, 16)
+            discretize(sys_, 1.0).nodes(8, 16)
 
 
 class TestLowpassRealization:
@@ -401,3 +404,57 @@ class TestRelationMatrices:
                 rel = build_relation_matrices(sys_, decompose(bank))
                 assert factorization_residual(fd, sd, rel) <= 1e-10, (family, N)
                 assert verify_algebraic(fd, sys_) <= 1e-9 * max(1.0, np.linalg.norm(fd.x_df))
+
+
+def count_expm(monkeypatch) -> list:
+    """Record every linalg.expm call, under each module name that binds it."""
+    calls: list = []
+    original = ctsid.linalg.expm
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    for mod in (ctsid.linalg, ctsid.ltisim, ctsid.filtering):
+        monkeypatch.setattr(mod, "expm", counting)
+    return calls
+
+
+class TestPropagatorMemo:
+    """discretize shares one propagator per system and T, with its nodes.
+
+    A shared cache keyed on (panels, nodes) alone once handed one system's
+    propagators to another and reported the wrong model as informative.
+    """
+
+    def test_interleaved_systems_and_periods_match_fresh_systems(self):
+        rng = np.random.default_rng(31)
+        s1 = random_controllable_system(rng, n=4, m=2, T=T)
+        s2 = random_controllable_system(rng, n=4, m=2, T=T)
+        s3 = random_controllable_system(rng, n=4, m=2, T=2 * T)
+        levels = {p: rng.uniform(-1, 1, size=(2, 6)) for p in (T, 2 * T)}
+
+        def run(sys_, period):
+            inp = PiecewiseConstantInput(T=period, levels=levels[period])
+            bank = make_filter_bank("bump_test", 2.0, period, 6, 6)
+            fd = filter_lti_dataset(sys_, inp, bank)
+            rel = build_relation_matrices(sys_, decompose(bank))
+            # another system's propagators would give a wrong model or residual
+            assert identify(fd, 4, 2, truth=sys_).frobenius_error <= 1e-6
+            assert factorization_residual(fd, simulate_sampled(sys_, inp), rel) <= 1e-10
+            return fd.x_f, fd.u_f, fd.x_df, rel.a_bar, rel.b_bar, rel.g_bar
+
+        order = [(s1, T), (s2, T), (s3, T), (s3, 2 * T), (s1, T), (s3, 2 * T), (s2, T), (s3, T)]
+        for sys_, period in order:
+            fresh = LtiSystem(a=sys_.a, b=sys_.b, x0=sys_.x0)
+            for got, ref in zip(run(sys_, period), run(fresh, period)):
+                assert np.array_equal(got, ref), period
+
+    def test_second_relation_build_makes_no_expm_call(self, monkeypatch):
+        calls = count_expm(monkeypatch)
+        sys_ = aircraft.system()
+        build_relation_matrices(sys_, decompose(bank_of("lowpass")))
+        first = len(calls)
+        assert first > 0
+        build_relation_matrices(sys_, decompose(bank_of("poly_test")))
+        assert len(calls) == first

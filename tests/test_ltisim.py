@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,44 @@ from ctsid import (
     discretize,
     simulate_sampled,
     state_at,
-    state_fn,
 )
-from ctsid.ltisim import step
+from ctsid.ltisim import transition
 from ctsid.oracles import rk4_oracle
-from conftest import controllability_matrix, random_controllable_system
+from conftest import controllability_matrix, random_controllable_system, state_fn
 
 
 def scalar_system(a=1.0, b=1.0, x0=0.0):
     return LtiSystem(a=[[a]], b=[[b]], x0=[x0])
+
+
+def one_step(a, b, chi, mu, T=1.0):
+    """chi_1 of the plant (a, b) started at chi under the constant input mu."""
+    sys_ = LtiSystem(a=a, b=b, x0=chi)
+    inp = PiecewiseConstantInput(T=T, levels=np.reshape(np.asarray(mu, float), (-1, 1)))
+    return simulate_sampled(sys_, inp).chi_final
+
+
+class TestLtiSystemArrays:
+    def test_caller_mutation_leaves_system_unchanged(self):
+        a, b, x0 = np.eye(2), np.ones((2, 1)), np.zeros(2)
+        sys_ = LtiSystem(a=a, b=b, x0=x0)
+        a[0, 0] += 1.0
+        b[0, 0] = 5.0
+        x0[1] = 3.0
+        assert np.array_equal(sys_.a, np.eye(2))
+        assert np.array_equal(sys_.b, np.ones((2, 1)))
+        assert np.array_equal(sys_.x0, np.zeros(2))
+
+    @pytest.mark.parametrize("name", ("a", "b", "x0"))
+    def test_arrays_are_read_only(self, name):
+        sys_ = LtiSystem(a=np.eye(2), b=np.ones((2, 1)), x0=np.zeros(2))
+        with pytest.raises(ValueError):
+            getattr(sys_, name)[0, ...] = 1.0
+
+    def test_aircraft_module_arrays_stay_writable(self):
+        aircraft.system()
+        assert aircraft.A.flags.writeable and aircraft.B.flags.writeable
+        assert aircraft.X0.flags.writeable
 
 
 class TestDiscretize:
@@ -36,7 +67,7 @@ class TestDiscretize:
 
     def test_aircraft_first_step(self, aircraft_system):
         d = discretize(aircraft_system, aircraft.T)
-        chi1 = step(d, aircraft.X0, np.array([1.0, 1.0]))
+        chi1 = d.a_t @ aircraft.X0 + d.b_t @ np.array([1.0, 1.0])
         assert np.allclose(chi1, [1.9877, -0.9492, -2.5648, 0.4124], atol=5e-4)
 
     def test_a_t_always_nonsingular(self):
@@ -52,26 +83,55 @@ class TestDiscretize:
         with pytest.raises(ValidationError):
             discretize(scalar_system(), 0.0)
 
+    def test_one_propagator_per_system_and_period(self):
+        sys_ = scalar_system()
+        d = discretize(sys_, 0.5)
+        assert discretize(sys_, 0.5) is d
+        assert discretize(sys_, 1.0) is not d
+        assert discretize(scalar_system(), 0.5) is not d
+
+    def test_shared_arrays_are_read_only(self, aircraft_system):
+        d = discretize(aircraft_system, aircraft.T)
+        _, _, tops = d.nodes(8, 16)
+        for arr in (d.a_t, d.b_t, d.aug, tops):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_system_is_freed_without_gc(self, aircraft_system):
+        sys_ = LtiSystem(a=aircraft_system.a, b=aircraft_system.b, x0=aircraft_system.x0)
+        ref = weakref.ref(sys_)
+        discretize(sys_, aircraft.T).nodes(8, 16)
+        del sys_
+        assert ref() is None
+
+    def test_at_is_the_transition_per_offset(self, aircraft_system):
+        d = discretize(aircraft_system, aircraft.T)
+        offsets = [0.03, 0.0, 0.07, 0.03]
+        tops = d.at(offsets)
+        assert tops.shape == (4, 4, 6)
+        assert np.array_equal(tops[1], np.eye(4, 6))
+        assert np.array_equal(tops[0], tops[3])
+        for tau, top in zip(offsets, tops):
+            if tau:
+                assert np.array_equal(top, np.hstack(transition(aircraft_system, tau)))
+
 
 class TestStep:
     def test_identity_dynamics(self):
-        d = discretize(LtiSystem(a=[[0.0]], b=[[0.0]], x0=[0.0]), 1.0)
-        assert step(d, [3.0], [5.0]) == pytest.approx([3.0])
+        assert one_step([[0.0]], [[0.0]], [3.0], [5.0]) == pytest.approx([3.0])
 
     def test_pure_input(self):
-        sys_ = LtiSystem(a=np.zeros((2, 2)), b=np.eye(2), x0=np.zeros(2))
-        d = discretize(sys_, 1.0)
-        assert np.allclose(step(d, np.zeros(2), [1.0, 0.0]), [1.0, 0.0])
+        chi1 = one_step(np.zeros((2, 2)), np.eye(2), np.zeros(2), [1.0, 0.0])
+        assert np.allclose(chi1, [1.0, 0.0])
 
-    def test_aircraft_second_step(self, aircraft_system):
-        d = discretize(aircraft_system, aircraft.T)
-        chi2 = step(d, aircraft.CHI_PRINTED[:, 1], [-1.0, -1.0])
+    def test_aircraft_second_step(self):
+        chi2 = one_step(aircraft.A, aircraft.B, aircraft.CHI_PRINTED[:, 1], [-1.0, -1.0], aircraft.T)
         assert np.allclose(chi2, [1.9308, -0.4078, 6.9073, 0.6720], atol=5e-4)
 
     def test_dimension_mismatch(self, aircraft_system):
-        d = discretize(aircraft_system, aircraft.T)
+        inp = PiecewiseConstantInput(T=aircraft.T, levels=np.zeros((3, 1)))
         with pytest.raises(ValidationError):
-            step(d, np.zeros(3), np.zeros(2))
+            simulate_sampled(aircraft_system, inp)
 
 
 class TestSimulateSampled:
@@ -123,6 +183,15 @@ class TestStateAt:
     def test_out_of_range(self, aircraft_system, aircraft_input):
         with pytest.raises(ValidationError):
             state_at(aircraft_system, aircraft_input, aircraft_input.horizon)
+        with pytest.raises(ValidationError):
+            state_at(aircraft_system, aircraft_input, [0.1, -0.01])
+
+    def test_vectorized_matches_pointwise(self, aircraft_system, aircraft_input):
+        ts = np.array([0.0, 0.05, 0.1, 0.13, 0.25, 0.599])
+        states = state_at(aircraft_system, aircraft_input, ts)
+        assert states.shape == (4, ts.size)
+        for t, x in zip(ts, states.T):
+            assert np.array_equal(x, state_at(aircraft_system, aircraft_input, t))
 
     def test_semigroup_within_interval(self):
         # evolving by t1 then t2 equals evolving by t1 + t2 (same input level)

@@ -16,8 +16,8 @@ from ctsid import (
     simulate_sampled,
 )
 from ctsid.filters import FAMILIES
-from ctsid.linalg import frobenius_distance
-from ctsid.sysid import expm_consistency, informativity_check
+from ctsid.linalg import frobenius_distance, svd_rank
+from ctsid.sysid import expm_consistency
 from conftest import random_controllable_system
 
 T = aircraft.T
@@ -38,19 +38,23 @@ class TestInformativityCheck:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_aircraft_is_informative(self, family, aircraft_system, aircraft_input):
         fd = aircraft_filtered(family, aircraft_system, aircraft_input)
-        assert informativity_check(fd, 4, 2).rank == 6
+        assert svd_rank(fd.stacked()).rank == 6
+        assert identify(fd, 4, 2).informative
 
     def test_zero_input_is_not_informative(self, aircraft_system):
         # u = 0: u_f rows vanish, rank can be at most n
         inp = PiecewiseConstantInput(T=T, levels=np.zeros((2, 6)))
         bank = make_filter_bank("lowpass", 1.0, T, 6, 6)
         fd = filter_lti_dataset(aircraft_system, inp, bank)
-        assert informativity_check(fd, 4, 2).rank <= 4
+        assert svd_rank(fd.stacked()).rank <= 4
+        assert not identify(fd, 4, 2).informative
 
     def test_dimension_check(self, aircraft_system, aircraft_input):
         fd = aircraft_filtered("lowpass", aircraft_system, aircraft_input)
         with pytest.raises(ValidationError):
-            informativity_check(fd, 3, 2)
+            identify(fd, 3, 2)
+        with pytest.raises(ValidationError):
+            identify(fd, 3, 3)
 
 
 class TestIdentify:
