@@ -1,5 +1,6 @@
-"""Dense linear-algebra kernel: SVD rank, pseudo-inverse, kernel bases,
-matrix exponential and Frobenius distances, all with explicit tolerances.
+"""Dense linear-algebra kernel on numpy alone: SVD rank, pseudo-inverse,
+kernel bases, a batched matrix exponential and Frobenius distances, all with
+explicit tolerances.
 
 Everything downstream (simulation, filtering, design, identification) goes
 through these wrappers so a single tolerance convention applies everywhere.
@@ -7,10 +8,10 @@ through these wrappers so a single tolerance convention applies everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 
@@ -92,18 +93,75 @@ def left_kernel_basis(m, rtol: float = 1e-8) -> np.ndarray:
     return u[:, r:].T.copy()
 
 
+# Pade degree m: the largest 1-norm theta_m at which q(A)^{-1} p(A), with
+# p(A) = sum_j b_j A^j and q(A) = p(-A), is accurate to double precision
+# (Higham, "The scaling and squaring method for the matrix exponential
+# revisited", SIAM J. Matrix Anal. Appl. 26 (2005)).
+_THETAS = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+           9: 2.097847961257068, 13: 5.371920351148152}
+_PADE_B = {m: [float(math.factorial(2 * m - j) // math.factorial(j) // math.factorial(m - j))
+               for j in range(m + 1)] for m in _THETAS}
+
+
+def _degree_and_squarings(norm: float) -> tuple[int, int]:
+    """The lowest degree whose theta bounds the 1-norm, else (13, s)."""
+    for degree, theta in _THETAS.items():
+        if norm <= theta:
+            return degree, 0
+    return 13, math.ceil(math.log2(norm / _THETAS[13]))
+
+
+def _pade(a: np.ndarray, degree: int) -> np.ndarray:
+    """q(A)^{-1} p(A) = (V - U)^{-1} (V + U), with U and V the odd and even parts of p."""
+    b = _PADE_B[degree]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    if degree == 13:  # in six products, Higham (2005), eq. (2.8)
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:
+        u, v, power = b[1] * eye + b[3] * a2, b[0] * eye + b[2] * a2, a2
+        for k in range(2, degree // 2 + 1):
+            power = power @ a2
+            u, v = u + b[2 * k + 1] * power, v + b[2 * k] * power
+        u = a @ u
+    return np.linalg.solve(v - u, v + u)
+
+
 def expm(a) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with Pade core)."""
+    """e^A of a (p, p) matrix, or of each matrix in a (k, p, p) stack.
+
+    Scaling and squaring with a Pade core: the lowest degree 3, 5, 7 or 9
+    whose theta bounds the exact 1-norm, else degree 13 on A / 2^s with
+    s = ceil(log2(||A||_1 / theta_13)), squared s times. The degree and s
+    are chosen per matrix and the stack runs batched in groups of equal
+    (degree, s), so expm(stack)[i] equals expm(stack[i]) bit for bit.
+    """
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("expm requires a square matrix")
-    if not np.all(np.isfinite(m)):
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValidationError("expm requires a square matrix or a stack of them")
+    if not np.isfinite(m).all():
         raise ValidationError("expm requires finite entries")
+    stack = m.reshape(-1, *m.shape[-2:])
+    out = np.empty_like(stack)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        out = scipy.linalg.expm(m)
-    if not np.all(np.isfinite(out)):
+        norms = np.abs(stack).sum(axis=1).max(axis=1, initial=0.0)
+        if not np.isfinite(norms).all():
+            raise NumericalError("expm overflowed (1-norm beyond the float range)")
+        keys = [_degree_and_squarings(x) for x in norms.tolist()]
+        for degree, s in set(keys):
+            group = [i for i, key in enumerate(keys) if key == (degree, s)]
+            r = _pade(np.ldexp(stack[group], -s), degree)
+            for _ in range(s):
+                r = r @ r
+            out[group] = r
+    if not np.isfinite(out).all():
         raise NumericalError("expm overflowed (matrix norm too large)")
-    return out
+    return out.reshape(m.shape)
 
 
 def frobenius_distance(m1, m2) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .filtering import FilteredDataset
-from .linalg import RankReport, expm, frobenius_distance, pinv, svd_rank
+from .linalg import RankReport, frobenius_distance, pinv, svd_rank
 from .ltisim import LtiSystem, SampledDataset
 
 
@@ -90,7 +90,3 @@ def identify_discrete(sd: SampledDataset, rtol: float = 1e-8) -> DiscreteIdentif
         informative=report.rank == n + m,
     )
 
-
-def expm_consistency(result_ct: IdentificationResult, result_dt: DiscreteIdentificationResult, T: float) -> float:
-    """||expm(A_hat T) - A_T_hat||_F, tying the two identification routes."""
-    return frobenius_distance(expm(result_ct.a_hat * T), result_dt.a_t_hat)

@@ -73,6 +73,18 @@ def test_benchmark_names_are_public():
     assert BENCHMARK_NAMES <= set(ctsid.__all__)
 
 
+def test_scipy_stays_off_the_runtime_path():
+    code = (
+        "import sys, ctsid; core = 'scipy' in sys.modules; "
+        "import ctsid.cli; print(core, 'scipy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.split() == ["False", "False"]
+
+
 def test_oracles_stay_out_of_the_package_namespace():
     assert not ORACLES & set(ctsid.__all__)
     code = "import sys, ctsid; print('ctsid.oracles' in sys.modules)"

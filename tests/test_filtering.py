@@ -23,7 +23,7 @@ from ctsid import (
 )
 from ctsid.filtering import _interval_moments
 from ctsid.filters import FAMILIES
-from ctsid.ltisim import transition
+from ctsid.ltisim import DiscreteSystem, transition
 from ctsid.oracles import (
     filter_signal,
     filtered_derivative_data,
@@ -325,9 +325,18 @@ class TestNodePropagators:
                     assert err <= 1e-12, (period, n, panels, err)
 
     def test_overflow_is_loud(self):
+        # e^{800} overflows in discretize's e^{A T}, before any node is built
         sys_ = LtiSystem(a=np.array([[800.0]]), b=np.ones((1, 1)), x0=np.zeros(1))
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="expm overflowed"):
             discretize(sys_, 1.0).nodes(8, 16)
+
+    def test_panel_chain_overflow_is_loud(self):
+        # e^{M h} and the first panel's nodes are at most e^{100}, but the
+        # chain of panel powers reaches e^{800}
+        aug = np.array([[800.0, 1.0], [0.0, 0.0]])
+        prop = DiscreteSystem(aug=aug, n=1, T=1.0, a_t=np.eye(1), b_t=np.zeros((1, 1)))
+        with pytest.raises(NumericalError, match="panel-power propagators overflowed"):
+            prop.nodes(8, 16)
 
 
 class TestLowpassRealization:

@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 import ctsid.aircraft as aircraft
+import ctsid.filtering
 from ctsid import (
     NumericalError,
+    PiecewiseConstantInput,
     ValidationError,
+    discretize,
+    filter_lti_dataset,
+    make_filter_bank,
     simulate_sampled,
     svd_rank,
 )
@@ -134,6 +141,120 @@ class TestExpm:
     def test_overflow_reported(self):
         with pytest.raises(NumericalError):
             expm(np.array([[1e6]]))
+
+
+# 1-norm bounds of the Pade degrees 3, 5, 7, 9 and 13 (Higham, SIAM J. Matrix
+# Anal. Appl. 26 (2005)), and the 1-norms 2 theta_13 and 8 theta_13 where the
+# number of squarings steps from 0 to 1 and from 2 to 3
+THETAS = (
+    1.495585217958292e-2,
+    2.539398330063230e-1,
+    9.504178996162932e-1,
+    2.097847961257068,
+    5.371920351148152,
+    2 * 5.371920351148152,
+    8 * 5.371920351148152,
+)
+
+
+def with_one_norm(rng, p: int, norm: float) -> np.ndarray:
+    """A random p x p matrix whose 1-norm is exactly norm: column 0 is
+    [+-norm, 0, ..., 0] and every other column sums to about norm / 2."""
+    a = rng.uniform(-1.0, 1.0, (p, p))
+    a *= 0.5 * norm / np.abs(a).sum(axis=0).max()
+    a[:, 0] = 0.0
+    a[0, 0] = rng.choice((-1.0, 1.0)) * norm
+    return a
+
+
+def mp_expm(a: np.ndarray) -> np.ndarray:
+    """e^A to 40 significant digits, rounded to doubles."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+
+
+class TestExpmStack:
+    """expm of a (k, p, p) stack chooses the degree and the squarings per
+    matrix, so each slice is bit-identical to the exponential of that matrix
+    alone, whatever the other matrices in the stack."""
+
+    def test_stack_equals_single(self):
+        rng = np.random.default_rng(13)
+        norms = [0.0, *np.geomspace(1e-6, 300.0, 20)]
+        norms += [x for t in THETAS for x in (t, np.nextafter(t, np.inf))]
+        stack = np.array([with_one_norm(rng, 5, x) for x in norms])
+        assert [np.abs(a).sum(axis=0).max() for a in stack] == norms
+        stack = stack[rng.permutation(len(norms))]
+        for a, e in zip(stack, expm(stack)):
+            assert np.array_equal(e, expm(a))
+
+    def test_zero_stack_is_identity(self):
+        assert np.array_equal(expm(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValidationError):
+            expm(np.ones((2, 2, 3)))
+        with pytest.raises(ValidationError):
+            expm(np.ones((2, 2, 2, 2)))
+        with pytest.raises(ValidationError):
+            expm(np.array([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]]))
+
+    def test_overflow_in_one_slice_is_reported(self):
+        with pytest.raises(NumericalError, match="expm overflowed"):
+            expm(np.array([np.eye(2), 1e6 * np.eye(2)]))
+        # finite entries whose 1-norm is beyond the float range
+        with pytest.raises(NumericalError, match="expm overflowed"):
+            expm(np.array([np.eye(2), np.full((2, 2), 1e308)]))
+
+
+class TestExpmAccuracy:
+    """Against a 40-digit reference. The per-matrix degree selection keeps
+    the error near one rounding on the pipeline's matrices and on random
+    matrices up to ||A||_F = 100."""
+
+    @pytest.mark.parametrize("period", (0.01, 0.1, 1.0))
+    def test_pipeline_matrices(self, period, monkeypatch):
+        # M T, and the matrices whose exponentials give the closed-form
+        # filter moments: the poly_test chain and the laguerre and lowpass
+        # Van Loan blocks, as filtering builds them
+        blocks = []
+        original = ctsid.filtering.expm
+
+        def recording(a):
+            blocks.append(np.array(a))
+            return original(a)
+
+        monkeypatch.setattr(ctsid.filtering, "expm", recording)
+        sys_ = aircraft.system()
+        inp = PiecewiseConstantInput(T=period, levels=aircraft.reference_input().levels)
+        for family, rho in (("poly_test", 10.0 / period**5), ("laguerre", 1.0), ("lowpass", 1.0)):
+            filter_lti_dataset(sys_, inp, make_filter_bank(family, rho, period, 6, 6))
+        assert [b.shape for b in blocks] == [(36, 36), (12, 12), (12, 12)]
+        for a in (discretize(sys_, period).aug * period, *blocks):
+            ref = mp_expm(a)
+            assert np.max(np.abs(expm(a) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("theta", THETAS[:5])
+    def test_degree_bounds_on_diagonal_matrices(self, theta):
+        # e^{diag(d)} = diag(e^d), entry by entry. Measured: at most 1.2e-14
+        # (e^{10.2}, rounding in q(A) = V - U); a degree kept up to twice its
+        # theta is off by 3e-14 (degree 5 at 1.9 theta_5) to 2e-8 (degree 13)
+        for c in (1.0, 1.4, 1.9):
+            d = c * theta * np.array([1.0, -1.0, 0.5])
+            e = expm(np.diag(d))
+            assert np.array_equal(e, np.diag(np.diag(e)))
+            ref = np.array([math.exp(x) for x in d])
+            assert np.all(np.abs(np.diag(e) - ref) <= 2e-14 * ref), (theta, c)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        for norm in np.geomspace(0.01, 100.0, 24):
+            a = rng.standard_normal((4, 4))
+            a *= norm / np.linalg.norm(a)
+            ref = mp_expm(a)
+            assert np.linalg.norm(expm(a) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestFrobeniusDistance:
