@@ -2,10 +2,13 @@
 
 The designer observes the state one sampling period at a time and picks
 the next input so that the stacked data matrix [chi; mu] gains one rank
-per step, reaching rank n + m after exactly n + m samples. When the new
-state already lies in the span of earlier states, a left-kernel
-certificate (xi, eta) of the stacked prefix tells the designer which
-input direction restores progress.
+per step, reaching rank n + m after exactly n + m samples. At each step it
+weighs the policy's input against a certificate input of the same norm,
+taken from a left-kernel certificate (xi, eta) of the stacked prefix, and
+keeps the one that sticks out further from the data collected so far. The
+branch log says which input was taken: "new-direction" (the policy's) or
+"certificate". When the new state already lies in the span of earlier
+states, the certificate input is the one guaranteed to restore progress.
 
 Run:  python3 demos/03_online_design.py
 """
@@ -32,7 +35,7 @@ res = run_online_design(SimulatedPlant(sys_, T), n, m, T)
 
 print(f"designed {res.dataset.N} samples for n + m = {n + m}")
 print("rank after each step:", res.rank_history)
-print("branch taken at each step:")
+print("input taken at each step:")
 for k, branch in enumerate(res.branches):
     line = f"  step {k}: {branch:13s} mu_{k} = {res.dataset.mu[:, k]}"
     print(line)

@@ -1,12 +1,18 @@
 """Online experiment design with the minimum number of samples.
 
-The designer drives a plant one sampling period at a time. At step k it
-observes chi_k and asks whether chi_k already lies in the image of the
-states collected so far. If not, any input keeps the stacked data matrix
-growing in rank; if it does, a left-kernel certificate (xi, eta) of the
-stacked prefix with eta != 0 exists, and any mu_k with
-xi^T chi_k + eta^T mu_k != 0 restores rank growth. After exactly n + m
-steps the stacked matrix [chi; mu] has full rank n + m.
+The designer drives a plant one sampling period at a time and keeps an
+orthonormal basis K = [K_x, K_u] of the left kernel of the stacked prefix
+[chi; mu]. At step k it observes chi_k and weighs two inputs of equal norm:
+the policy's, and the certificate input along the top right singular vector
+of K_u, signed so that the certificate (xi, eta) = u_1^T K gives
+|xi^T chi_k + eta^T mu_k| = |xi^T chi_k| + ||eta|| ||mu_k||. It takes the
+one with the larger ||K [chi_k; mu_k]||, i.e. the one that sticks out
+further from the prefix. If chi_k lies in the image of the earlier states,
+only inputs with K_u mu_k != 0 keep the rank growing, and the certificate
+input is one; otherwise any input outside a proper subspace does (van
+Waarde, IEEE L-CSS 2021), so the better-conditioned choice stays within the
+theory. The branch log records which input was taken. After exactly n + m
+steps [chi; mu] has full rank n + m.
 
 Also provides the block-Hankel persistency-of-excitation test (the offline
 alternative, which needs at least n + m + n*m samples) and the intersample
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DesignFailureError, NumericalError, ValidationError
+from .errors import DesignFailureError, ValidationError
 from .linalg import RankReport, left_kernel_basis, svd_rank
 from .ltisim import (
     LtiSystem,
@@ -46,7 +52,7 @@ class KernelCertificate:
 @dataclass
 class DesignResult:
     dataset: SampledDataset
-    branches: list[str]  # per step: "new-direction" or "certificate"
+    branches: list[str]  # input taken per step: "new-direction" (policy) or "certificate"
     certificates: list[KernelCertificate]
     rank_report: RankReport
     rank_history: list[int] = field(default_factory=list)
@@ -157,41 +163,9 @@ def pe_check(mu, n: int, rtol: float = 1e-8) -> bool:
     return svd_rank(h, rtol).rank == (n + 1) * m
 
 
-def image_membership(prefix, v, rtol: float = 1e-8) -> bool:
-    """True iff v lies in the column space of prefix (rank comparison)."""
-    prefix = np.atleast_2d(np.asarray(prefix, dtype=float))
-    v = np.asarray(v, dtype=float).reshape(-1, 1)
-    base = svd_rank(prefix, rtol).rank
-    return svd_rank(np.hstack([prefix, v]), rtol).rank == base
-
-
-def kernel_certificate(stacked_prefix, n: int, m: int, rtol: float = 1e-8) -> KernelCertificate:
-    """A left-kernel vector of the stacked prefix maximizing the eta-block norm.
-
-    From the orthonormal kernel basis K, the combination c^T K with the
-    largest eta-block is c = leading left singular vector of K[:, n:].
-    """
-    stacked_prefix = np.atleast_2d(np.asarray(stacked_prefix, dtype=float))
-    if stacked_prefix.shape[0] != n + m:
-        raise ValidationError("stacked prefix must have n+m rows")
-    k_idx = stacked_prefix.shape[1]
-    basis = left_kernel_basis(stacked_prefix, rtol)
-    if basis.shape[0] == 0:
-        raise NumericalError("stacked prefix has full row rank; no kernel vector")
-    eta_block = basis[:, n:]
-    u, s, _ = np.linalg.svd(eta_block)
-    if s.size == 0 or s[0] <= rtol:
-        raise NumericalError(
-            "eta-block of the kernel basis is numerically zero; "
-            "rank tolerance mis-set or image-membership precondition violated"
-        )
-    vec = u[:, 0] @ basis
-    return KernelCertificate(xi=vec[:n], eta=vec[n:], k=k_idx)
-
-
 class CyclingPolicy:
-    """Deterministic inputs for the free branch: all-ones first, then
-    sign-alternating coordinate cycling."""
+    """Deterministic policy inputs: all-ones first, then sign-alternating
+    coordinate cycling."""
 
     def __init__(self, m: int):
         self.m = m
@@ -216,37 +190,6 @@ class SeededRandomPolicy:
         return v / np.linalg.norm(v)
 
 
-def choose_input(
-    branch: str,
-    certificate: KernelCertificate | None,
-    chi_k,
-    policy,
-    k: int,
-) -> np.ndarray:
-    """Input for step k. Free branch: whatever the policy says. Certificate
-    branch: unit vector along eta, sign-flipped if the affine form
-    xi^T chi_k + eta^T mu_k would land inside the guard band."""
-    if branch == "new-direction":
-        mu = np.asarray(policy(k), dtype=float)
-        if k == 0 and not np.any(mu):
-            raise ValidationError("mu_0 must be nonzero")
-        return mu
-    if branch != "certificate":
-        raise ValidationError(f"unknown branch {branch!r}")
-    if certificate is None:
-        raise ValidationError("certificate branch requires a certificate")
-    chi_k = np.asarray(chi_k, dtype=float).reshape(-1)
-    xi, eta = certificate.xi, certificate.eta
-    base = float(xi @ chi_k)
-    direction = eta / np.linalg.norm(eta)
-    guard = 1e-6 * (1.0 + abs(base))
-    for c in (1.0, -1.0):
-        mu = c * direction
-        if abs(base + eta @ mu) > guard:
-            return mu
-    raise NumericalError("guard test failed for both signs; eta is degenerate")
-
-
 def run_online_design(
     plant,
     n: int,
@@ -257,14 +200,21 @@ def run_online_design(
 ) -> DesignResult:
     """Execute exactly n + m design steps and return the full-rank dataset.
 
-    Raises DesignFailureError with diagnostics when the final stacked matrix
-    falls short of rank n + m (pathological sampling time, or tolerance
-    mis-set for the data scale).
+    Step 0 takes the policy's input, which must be nonzero. A later step
+    takes the certificate input when the largest singular value of K_u
+    exceeds rtol and that input gives the larger ||K [chi_k; mu_k]||.
+    rank_history is the rank of [chi; mu] after each step at the svd_rank
+    threshold.
+
+    Raises DesignFailureError with the dataset, branch log and rank report
+    when the final stacked matrix falls short of rank n + m (uncontrollable
+    plant, pathological sampling time, or tolerance mis-set for the data
+    scale).
     """
     policy = CyclingPolicy(m) if policy is None else policy
     N = n + m
-    chi = np.empty((n, N))
-    mu = np.empty((m, N))
+    data = np.empty((N, N))  # [chi; mu], one column per step
+    chi, mu = data[:n], data[n:]
     branches: list[str] = []
     certificates: list[KernelCertificate] = []
     rank_history: list[int] = []
@@ -272,34 +222,29 @@ def run_online_design(
     chi_k = np.asarray(plant.reset(), dtype=float)
     for k in range(N):
         chi[:, k] = chi_k
+        mu_k = np.asarray(policy(k), dtype=float).reshape(-1)
+        branch = "new-direction"
         if k == 0:
-            branch = "new-direction"
-            cert = None
-        elif image_membership(chi[:, :k], chi_k, rtol):
-            branch = "certificate"
-            try:
-                cert = kernel_certificate(np.vstack([chi[:, :k], mu[:, :k]]), n, m, rtol)
-            except NumericalError as exc:
-                # no usable certificate exists (e.g. uncontrollable plant):
-                # report what was collected so far
-                partial = SampledDataset(chi=chi[:, :k], mu=mu[:, :k], T=T)
-                raise DesignFailureError(
-                    f"no kernel certificate at step {k}: {exc}",
-                    dataset=partial,
-                    branch_log=branches + [branch],
-                    rank_report=svd_rank(partial.stacked(), rtol) if k else None,
-                ) from exc
-            certificates.append(cert)
+            if not np.any(mu_k):
+                raise ValidationError("mu_0 must be nonzero")
         else:
-            branch = "new-direction"
-            cert = None
+            a, k_u = kernel[:, :n] @ chi_k, kernel[:, n:]
+            u, s, vh = np.linalg.svd(k_u, full_matrices=False)
+            cert = u[:, 0] @ kernel
+            mu_c = np.linalg.norm(mu_k) * np.copysign(1.0, cert[:n] @ chi_k) * vh[0]
+            if s[0] > rtol and np.linalg.norm(a + k_u @ mu_c) > np.linalg.norm(a + k_u @ mu_k):
+                branch, mu_k = "certificate", mu_c
+                certificates.append(KernelCertificate(xi=cert[:n], eta=cert[n:], k=k))
         branches.append(branch)
-        mu[:, k] = choose_input(branch, cert, chi_k, policy, k)
-        rank_history.append(svd_rank(np.vstack([chi[:, : k + 1], mu[:, : k + 1]]), rtol).rank)
-        chi_k = np.asarray(plant.apply(mu[:, k]), dtype=float)
+        mu[:, k] = mu_k
+        if k + 1 < N:
+            kernel = left_kernel_basis(data[:, : k + 1], rtol)
+            rank_history.append(N - kernel.shape[0])
+        chi_k = np.asarray(plant.apply(mu_k), dtype=float)
 
     dataset = SampledDataset(chi=chi, mu=mu, T=T, chi_final=chi_k)
-    report = svd_rank(dataset.stacked(), rtol)
+    report = svd_rank(data, rtol)
+    rank_history.append(report.rank)
     result = DesignResult(
         dataset=dataset,
         branches=branches,

@@ -88,3 +88,50 @@ def random_controllable_system(
         f"no controllable, non-pathological system with n={n}, m={m}, T={T} "
         f"in {MAX_DRAWS} draws"
     )
+
+
+def controllable_by_construction(
+    rng: np.random.Generator,
+    n: int,
+    m: int,
+    T: float = 0.1,
+) -> LtiSystem:
+    """Random (A, B, x0) that is controllable by construction, for any n.
+
+    A = Q D Q^T with Q a random orthogonal matrix (QR of a Gaussian) and D
+    block diagonal: 1 x 1 blocks for real eigenvalues and 2 x 2 blocks
+    [[a, b], [-b, a]] for pairs a +- ib. The n eigenvalues are drawn with
+    real parts in [-1, 0.5], imaginary parts in [0.2, 2] and pairwise
+    distance at least 0.05, so every eigenspace is one-dimensional and the
+    Popov-Belevitch-Hautus test, rank [A - lambda I, B] = n at each
+    eigenvalue, decides controllability; it is checked on the drawn B with a
+    relative margin of 1e-6, and T must be non-pathological.
+    """
+    for _ in range(MAX_DRAWS):
+        n_pairs = int(rng.integers(0, n // 2 + 1))
+        n_real = n - 2 * n_pairs
+        re = rng.uniform(-1.0, 0.5, size=n_real + n_pairs)
+        im = rng.uniform(0.2, 2.0, size=n_pairs)
+        lam = np.concatenate([re[:n_real], re[n_real:] + 1j * im, re[n_real:] - 1j * im])
+        dist = np.abs(lam[:, None] - lam[None, :])
+        np.fill_diagonal(dist, np.inf)
+        if dist.min() < 0.05:
+            continue
+        d = np.diag(np.concatenate([re[:n_real], np.repeat(re[n_real:], 2)]))
+        for i, b in enumerate(im):
+            j = n_real + 2 * i
+            d[j, j + 1], d[j + 1, j] = b, -b
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        q *= np.sign(np.diag(r))
+        a_mat = q @ d @ q.T
+        b_mat = rng.standard_normal((n, m))
+        pbh = [
+            np.linalg.svd(np.hstack([a_mat - l * np.eye(n), b_mat]), compute_uv=False)
+            for l in lam
+        ]
+        if min(s[-1] / s[0] for s in pbh) < 1e-6:
+            continue
+        sys_ = LtiSystem(a=a_mat, b=b_mat, x0=rng.standard_normal(n))
+        if check_nonpathological(sys_, T)[0]:
+            return sys_
+    raise RuntimeError(f"no controllable system with n={n}, m={m}, T={T} in {MAX_DRAWS} draws")

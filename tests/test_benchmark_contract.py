@@ -52,3 +52,13 @@ def test_traced_job_matches_untraced():
     assert plain[2] == traced[2]
     assert tracer.stat("filtering.filter_lti_dataset.bump_test").calls == 1
     assert tracer.stat("ltisim.transition").calls > 0
+
+
+@pytest.mark.parametrize("seed, index", [(16, 2394), (1601, 577), (1617, 959)])
+def test_aircraft_jobs_that_ended_on_a_near_cancelling_certificate(seed, index):
+    # the design used to take +eta whenever |xi^T chi_k + eta^T mu_k| cleared
+    # an absolute guard band, so these jobs ended at rank 5 after filtering
+    # (laguerre) or already in the design
+    wl = workloads.WORKLOADS["aircraft"]
+    outcome, _, detail = workloads.run_job(wl, wl.inputs(seed, index), [])
+    assert outcome == "ok", detail

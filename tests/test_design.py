@@ -6,13 +6,14 @@ from ctsid import (
     CyclingPolicy,
     DesignFailureError,
     LtiSystem,
-    NumericalError,
     PiecewiseConstantInput,
     ReplayPlant,
     SeededRandomPolicy,
     SimulatedPlant,
     ValidationError,
+    discretize,
     hankel,
+    identify_discrete,
     pe_check,
     run_online_design,
     simulate_sampled,
@@ -20,8 +21,8 @@ from ctsid import (
     svd_rank,
     verify_intersample,
 )
-from ctsid.design import choose_input, image_membership, kernel_certificate
-from conftest import random_controllable_system
+from ctsid.linalg import left_kernel_basis
+from conftest import controllable_by_construction, random_controllable_system
 
 
 class TestHankel:
@@ -61,49 +62,6 @@ class TestPeCheck:
         assert not pe_check(aircraft.MU, n=4)
 
 
-class TestImageMembership:
-    def test_basic(self):
-        prefix = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        assert image_membership(prefix, [2.0, -3.0, 0.0])
-        assert not image_membership(prefix, [0.0, 0.0, 1.0])
-
-    def test_scaling_invariance(self):
-        rng = np.random.default_rng(2)
-        prefix = rng.standard_normal((4, 2)) * 1e6
-        v = prefix @ rng.standard_normal(2)
-        assert image_membership(prefix, v)
-        assert not image_membership(prefix, v + 1e3 * np.linalg.svd(prefix)[0][:, -1])
-
-
-class TestKernelCertificate:
-    def test_simple(self):
-        # chi prefix spans e1, mu prefix is zero: kernel contains (0, 1) pairs
-        stacked = np.array([[1.0], [0.0], [0.0]])  # n=2, m=1
-        cert = kernel_certificate(stacked, n=2, m=1)
-        assert cert.eta.shape == (1,)
-        assert abs(cert.eta[0]) > 0.5
-        assert np.linalg.norm(cert.vector() @ stacked) <= 1e-12
-
-    def test_annihilates_prefix(self):
-        rng = np.random.default_rng(3)
-        chi = rng.standard_normal((3, 2))
-        mu = np.zeros((2, 2))
-        stacked = np.vstack([chi, mu])
-        cert = kernel_certificate(stacked, n=3, m=2)
-        assert np.linalg.norm(cert.vector() @ stacked) <= 1e-10
-        assert np.linalg.norm(cert.eta) > 0.9  # eta maximized over the kernel
-
-    def test_full_rank_prefix_fails(self):
-        with pytest.raises(NumericalError):
-            kernel_certificate(np.eye(3), n=2, m=1)
-
-    def test_no_eta_component_fails(self):
-        # kernel orthogonal to the input rows: eta-block numerically zero
-        stacked = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])  # n=2, m=1
-        with pytest.raises(NumericalError):
-            kernel_certificate(stacked, n=2, m=1)
-
-
 class TestPolicies:
     def test_cycling_first_is_ones(self):
         p = CyclingPolicy(3)
@@ -118,32 +76,45 @@ class TestPolicies:
             assert np.linalg.norm(x) == pytest.approx(1.0)
 
 
-class TestChooseInput:
-    def test_free_branch_uses_policy(self):
-        mu = choose_input("new-direction", None, np.zeros(2), CyclingPolicy(2), 3)
-        assert np.allclose(mu, CyclingPolicy(2)(3))
+def check_design_steps(res, policy_factory):
+    """Properties of every step of a finished design, recomputed from its data.
 
-    def test_zero_mu0_rejected(self):
-        with pytest.raises(ValidationError):
-            choose_input("new-direction", None, np.zeros(2), lambda k: np.zeros(2), 0)
-
-    def test_certificate_branch_keeps_affine_form_away_from_zero(self):
-        from ctsid.design import KernelCertificate
-
-        xi = np.array([1.0, 0.0])
-        eta = np.array([0.5])
-        chi_k = np.array([0.5, 0.0])  # base = 0.5
-        cert = KernelCertificate(xi=xi, eta=eta, k=1)
-        mu = choose_input("certificate", cert, chi_k, CyclingPolicy(1), 1)
-        assert abs(xi @ chi_k + eta @ mu) > 1e-6
-
-    def test_certificate_sign_flip(self):
-        from ctsid.design import KernelCertificate
-
-        # base = -1 and eta direction gives +1: c=+1 would cancel exactly
-        cert = KernelCertificate(xi=np.array([1.0]), eta=np.array([1.0]), k=1)
-        mu = choose_input("certificate", cert, np.array([-1.0]), CyclingPolicy(1), 1)
-        assert abs(-1.0 + mu[0]) > 1e-6
+    Policy steps take the policy's input unchanged. A certificate step k
+    takes an input of the policy's norm whose certificate (xi, eta)
+    annihilates the prefix, has the largest eta-block of any unit left-kernel
+    vector of it, and makes |xi^T chi_k + eta^T mu_k| = |xi^T chi_k| +
+    ||eta|| ||mu_k||; the input then sticks out of the prefix further than
+    the policy's would have. Returns the signs of xi^T chi_k seen.
+    """
+    data = res.dataset.stacked()
+    n = res.dataset.chi.shape[0]
+    policy = policy_factory()  # a fresh policy replays the inputs it offered
+    certs = iter(res.certificates)
+    signs = set()
+    assert len(res.certificates) == res.branches.count("certificate")
+    for k, branch in enumerate(res.branches):
+        chi_k, mu_k, p_k = data[:n, k], data[n:, k], policy(k)
+        if branch == "new-direction":
+            assert np.array_equal(mu_k, p_k)
+            continue
+        assert branch == "certificate" and k > 0
+        cert = next(certs)
+        assert cert.k == k
+        prefix = data[:, :k]
+        assert np.linalg.norm(cert.vector() @ prefix) <= 1e-10 * np.linalg.norm(prefix)
+        basis = left_kernel_basis(prefix)
+        eta_max = np.linalg.svd(basis[:, n:], compute_uv=False)[0]
+        assert np.linalg.norm(cert.eta) == pytest.approx(eta_max, rel=1e-12)
+        base = cert.xi @ chi_k
+        assert abs(base + cert.eta @ mu_k) == pytest.approx(
+            abs(base) + np.linalg.norm(cert.eta) * np.linalg.norm(mu_k), rel=1e-12
+        )
+        assert np.linalg.norm(mu_k) == pytest.approx(np.linalg.norm(p_k), rel=1e-12)
+        assert np.linalg.norm(basis @ np.concatenate([chi_k, mu_k])) > np.linalg.norm(
+            basis @ np.concatenate([chi_k, p_k])
+        )
+        signs.add(np.sign(base))
+    return signs
 
 
 class TestRunOnlineDesign:
@@ -154,7 +125,8 @@ class TestRunOnlineDesign:
         assert res.rank_report.rank == 6
         assert res.rank_history == [1, 2, 3, 4, 5, 6]
         assert len(res.branches) == 6
-        assert len(res.certificates) == res.branches.count("certificate")
+        check_design_steps(res, lambda: CyclingPolicy(2))
+        assert res.certificates
 
     def test_dataset_is_a_true_trajectory(self, aircraft_system):
         plant = SimulatedPlant(aircraft_system, aircraft.T)
@@ -174,25 +146,53 @@ class TestRunOnlineDesign:
         assert res.rank_report.rank == n + m
         # rank grows by one every step: minimal-length experiment
         assert res.rank_history == list(range(1, n + m + 1))
+        check_design_steps(res, lambda: CyclingPolicy(m))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_systems_random_policy(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(2, 8))
+        m = int(rng.integers(1, 4))
+        sys_ = random_controllable_system(rng, n, m, T=0.1)
+        res = run_online_design(
+            SimulatedPlant(sys_, 0.1), n, m, 0.1, policy=SeededRandomPolicy(m, seed=seed)
+        )
+        assert res.rank_history == list(range(1, n + m + 1))
+        check_design_steps(res, lambda: SeededRandomPolicy(m, seed=seed))
 
     def test_random_policy_also_succeeds(self, aircraft_system):
-        plant = SimulatedPlant(aircraft_system, aircraft.T)
-        res = run_online_design(
-            plant, 4, 2, aircraft.T, policy=SeededRandomPolicy(2, seed=5)
-        )
-        assert res.rank_report.rank == 6
+        signs = set()
+        for seed in range(20):
+            res = run_online_design(
+                SimulatedPlant(aircraft_system, aircraft.T), 4, 2, aircraft.T,
+                policy=SeededRandomPolicy(2, seed=seed),
+            )
+            assert res.rank_report.rank == 6
+            signs |= check_design_steps(res, lambda: SeededRandomPolicy(2, seed=seed))
+        assert signs == {-1.0, 1.0}  # the sign fix is exercised both ways
+
+    def test_zero_mu0_rejected(self, aircraft_system):
+        with pytest.raises(ValidationError):
+            run_online_design(
+                SimulatedPlant(aircraft_system, aircraft.T), 4, 2, aircraft.T,
+                policy=lambda k: np.zeros(2),
+            )
 
     def test_zero_initial_state_forces_certificates(self):
-        # x0 = 0: chi_0 = 0 is trivially in the (empty) image at every early
-        # step, so certificate branches carry the whole design
+        # x0 = 0: chi_0 = 0 and chi_1 = B_T mu_0, so the prefix [0; mu_0]
+        # leaves every (xi, 0) in the kernel; only an input off mu_0's
+        # direction (the certificate input) makes progress at step 1
         sys_ = LtiSystem(
             a=[[0.0, 1.0], [-1.0, -0.5]], b=[[0.0], [1.0]], x0=[0.0, 0.0]
         )
         res = run_online_design(SimulatedPlant(sys_, 0.1), 2, 1, T=0.1)
         assert res.rank_report.rank == 3
+        check_design_steps(res, lambda: CyclingPolicy(1))
 
     def test_uncontrollable_plant_fails_with_diagnostics(self):
-        # block-diagonal with an unreachable, unexcited second state
+        # block-diagonal with an unreachable, unexcited second state: after
+        # two steps the prefix's left kernel is e_2 alone, whose eta-block is
+        # zero, so no certificate input exists and the policy's is taken
         sys_ = LtiSystem(
             a=np.diag([-1.0, -2.0]), b=[[1.0], [0.0]], x0=[1.0, 0.0]
         )
@@ -202,6 +202,42 @@ class TestRunOnlineDesign:
         assert err.dataset is not None
         assert err.rank_report.rank < 3
         assert len(err.branch_log) == 3
+        basis = left_kernel_basis(err.dataset.stacked()[:, :2])
+        assert basis.shape == (1, 3) and basis[0, 2] == 0.0
+        assert err.branch_log[2] == "new-direction"
+        assert np.array_equal(err.dataset.mu[:, 2], CyclingPolicy(1)(2))
+
+
+def assert_discrete_model_exact(res, sys_, T):
+    est = identify_discrete(res.dataset)
+    assert est.informative
+    truth = discretize(sys_, T)
+    ref = np.hstack([truth.a_t, truth.b_t])
+    err = np.linalg.norm(np.hstack([est.a_t_hat, est.b_t_hat]) - ref) / np.linalg.norm(ref)
+    assert err <= 1e-6
+
+
+class TestLargeStateDimension:
+    @pytest.mark.parametrize("n", [10, 15, 20, 30])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_full_rank_with_exact_model_or_loud_refusal(self, n, m, seed):
+        T = 0.1
+        sys_ = controllable_by_construction(np.random.default_rng([n, m, seed]), n, m, T)
+        try:
+            res = run_online_design(SimulatedPlant(sys_, T), n, m, T)
+        except DesignFailureError as exc:
+            assert exc.rank_report.rank < n + m
+            return
+        assert res.rank_report.rank == n + m
+        assert_discrete_model_exact(res, sys_, T)
+
+    def test_ten_states_two_inputs(self):
+        # a seed on which the membership-and-guard design ended at rank 11 < 12
+        sys_ = controllable_by_construction(np.random.default_rng([10, 2, 0]), 10, 2, 0.1)
+        res = run_online_design(SimulatedPlant(sys_, 0.1), 10, 2, 0.1)
+        assert res.rank_history == list(range(1, 13))
+        assert_discrete_model_exact(res, sys_, 0.1)
 
 
 class TestReplayPlant:
