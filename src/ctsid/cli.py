@@ -239,9 +239,10 @@ def cmd_verify(args) -> int:
         checks.append(("factorization", fres <= 1e-6, f"relative residual {fres:.3e}"))
         ladder_ok = True
         detail = []
+        s_sampled, s_filtered = sd.stacked(), fd.stacked()
         for k in range(1, min(inp.N, bank.M) + 1):
-            r_sampled = svd_rank(sd.stacked()[:, :k], num.rank_rtol).rank
-            r_filtered = svd_rank(fd.stacked()[:, :k], num.rank_rtol).rank
+            r_sampled = svd_rank(s_sampled[:, :k], num.rank_rtol).rank
+            r_filtered = svd_rank(s_filtered[:, :k], num.rank_rtol).rank
             detail.append(f"k={k}:{r_sampled}/{r_filtered}")
             ladder_ok &= r_sampled == r_filtered
         checks.append(("rank-ladder", ladder_ok, " ".join(detail)))

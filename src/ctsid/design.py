@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DesignFailureError, ValidationError
-from .linalg import RankReport, left_kernel_basis, svd_rank
+from .linalg import RankReport, _rank_svd, left_kernel_basis, svd_rank
 from .ltisim import (
     LtiSystem,
     PiecewiseConstantInput,
@@ -272,13 +272,17 @@ def verify_intersample(
     """Rank of [chi(t); mu] for each offset t in [0, T); needs ground truth.
 
     chi_k(t) = e^{At} chi_k + (int_0^t e^{As} ds B) mu_k for every interval,
-    so each distinct offset costs one augmented exponential.
+    so each distinct offset costs one augmented exponential, and one batched
+    SVD gives every offset's svd_rank report.
     """
     offsets = np.asarray(t_list, dtype=float).reshape(-1)
     if not np.all((offsets >= 0) & (offsets < inp.T)):
         raise ValidationError("intersample offsets must lie in [0, T)")
     sd = simulate_sampled(sys, inp)
     chi_t = discretize(sys, inp.T).at(offsets) @ sd.stacked()
+    mu = np.broadcast_to(sd.mu, (len(offsets), *sd.mu.shape))
+    _, s, _, tol, rank = _rank_svd(np.concatenate([chi_t, mu], axis=1), rtol)
     return [
-        (float(t), svd_rank(np.vstack([chi, sd.mu]), rtol)) for t, chi in zip(offsets, chi_t)
+        (float(t), RankReport(rank=int(r), singular_values=si, tolerance_used=ti))
+        for t, r, si, ti in zip(offsets, rank, s, tol)
     ]

@@ -3,7 +3,10 @@ kernel bases, a batched matrix exponential and Frobenius distances, all with
 explicit tolerances.
 
 Everything downstream (simulation, filtering, design, identification) goes
-through these wrappers so a single tolerance convention applies everywhere.
+through these wrappers so a single tolerance convention applies everywhere:
+one helper takes the SVD and applies the rank threshold
+rtol * s_max * max(rows, cols), for a matrix or a stack of them, and each
+rank verdict costs one SVD.
 """
 
 from __future__ import annotations
@@ -26,18 +29,9 @@ class RankReport:
 
     def __post_init__(self):
         s = np.asarray(self.singular_values, dtype=float)
-        if s.size and np.any(np.diff(s) > 0):
+        if (s[1:] > s[:-1]).any():
             raise ValidationError("singular values must be nonincreasing")
         object.__setattr__(self, "singular_values", s)
-
-
-def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise ValidationError("expected a nonempty 2-D array")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix entries must be finite")
-    return a
 
 
 def _svd(a: np.ndarray):
@@ -47,28 +41,28 @@ def _svd(a: np.ndarray):
         raise NumericalError(f"SVD did not converge: {exc}") from exc
 
 
-def svd_rank(m, rtol: float = 1e-8) -> RankReport:
-    """Numerical rank with threshold rtol * s_max * max(rows, cols)."""
-    a = _as_matrix(m)
-    if rtol <= 0:
-        raise ValidationError("rtol must be positive")
-    s = _svd(a)[1]
-    tol = rtol * (s[0] if s.size else 0.0) * max(a.shape)
-    return RankReport(rank=int(np.sum(s > tol)), singular_values=s, tolerance_used=tol)
+def _rank_svd(m, rtol: float):
+    """(u, s, vh, tol, rank) of a (p, q) matrix, or per matrix of a (k, p, q)
+    stack, from one SVD: tol = rtol * s_max * max(p, q), rank = #{s > tol}.
 
-
-def pinv(m, rtol: float = 1e-8) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse, thresholded exactly like svd_rank.
-
-    Raises NumericalError when the result is not finite, which happens when
-    a kept singular value is so small (subnormal) that its reciprocal
-    overflows.
+    Each slice of a batched np.linalg.svd equals the single call bit for
+    bit, so a stack gives the same verdicts as one call per matrix.
     """
-    a = _as_matrix(m)
+    a = np.asarray(m, dtype=float)
+    if a.ndim not in (2, 3) or 0 in a.shape[-2:]:
+        raise ValidationError("expected a nonempty 2-D array or a stack of them")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix entries must be finite")
     if rtol <= 0:
         raise ValidationError("rtol must be positive")
     u, s, vh = _svd(a)
-    tol = rtol * (s[0] if s.size else 0.0) * max(a.shape)
+    tol = rtol * s[..., 0] * max(a.shape[-2:])
+    return u, s, vh, tol, (s > tol[..., None]).sum(-1)
+
+
+def _rank_pinv(m, rtol: float) -> tuple[RankReport, np.ndarray]:
+    """The svd_rank report and the pseudo-inverse of M from its one SVD."""
+    u, s, vh, tol, rank = _rank_svd(m, rtol)
     kept = s > tol
     k = s.size
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -78,7 +72,23 @@ def pinv(m, rtol: float = 1e-8) -> np.ndarray:
         raise NumericalError(
             f"pseudo-inverse is not finite: smallest kept singular value {s[kept].min():.3g}"
         )
-    return out
+    return RankReport(rank=int(rank), singular_values=s, tolerance_used=tol), out
+
+
+def svd_rank(m, rtol: float = 1e-8) -> RankReport:
+    """Numerical rank with threshold rtol * s_max * max(rows, cols)."""
+    _, s, _, tol, rank = _rank_svd(m, rtol)
+    return RankReport(rank=int(rank), singular_values=s, tolerance_used=tol)
+
+
+def pinv(m, rtol: float = 1e-8) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse, thresholded exactly like svd_rank.
+
+    Raises NumericalError when the result is not finite, which happens when
+    a kept singular value is so small (subnormal) that its reciprocal
+    overflows.
+    """
+    return _rank_pinv(m, rtol)[1]
 
 
 def left_kernel_basis(m, rtol: float = 1e-8) -> np.ndarray:
@@ -86,11 +96,8 @@ def left_kernel_basis(m, rtol: float = 1e-8) -> np.ndarray:
 
     Returns a (p - rank) x p array; empty (0 x p) when M has full row rank.
     """
-    a = _as_matrix(m)
-    u, s, _ = _svd(a)
-    tol = rtol * (s[0] if s.size else 0.0) * max(a.shape)
-    r = int(np.sum(s > tol))
-    return u[:, r:].T.copy()
+    u, _, _, _, rank = _rank_svd(m, rtol)
+    return u[:, rank:].T.copy()
 
 
 # Pade degree m: the largest 1-norm theta_m at which q(A)^{-1} p(A), with

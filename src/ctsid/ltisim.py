@@ -11,10 +11,15 @@ evaluates this map: the sampled step (A_T, B_T), the map at any offsets and
 at Gauss-Legendre nodes. Simulation, design, filtering and verification all
 go through it, never through approximate ODE integration (the RK4
 cross-check lives in ctsid.oracles).
+
+What a job would repeat is memoized as read-only arrays: the propagator per
+system and T, the sampled trajectory per (system, input) and the
+Gauss-Legendre rule per node count.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,17 +65,23 @@ class LtiSystem:
 
 @dataclass(frozen=True)
 class PiecewiseConstantInput:
-    """Sampling period T and levels mu_0 ... mu_{N-1}; u(t + kT) = mu_k."""
+    """Sampling period T and levels mu_0 ... mu_{N-1}; u(t + kT) = mu_k.
+
+    Holds a read-only copy of levels and simulate_sampled's last (system,
+    dataset): one slot, so simulating on many systems keeps one alive.
+    """
 
     T: float
     levels: np.ndarray  # (m, N)
+    _sampled: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.T <= 0:
             raise ValidationError("T must be positive")
-        lv = np.atleast_2d(np.asarray(self.levels, dtype=float))
+        lv = np.atleast_2d(np.array(self.levels, dtype=float))
         if lv.size == 0 or not np.all(np.isfinite(lv)):
             raise ValidationError("input levels must be nonempty and finite")
+        lv.setflags(write=False)
         object.__setattr__(self, "levels", lv)
 
     @property
@@ -211,9 +222,18 @@ class SampledDataset:
         return np.vstack([self.chi, self.mu])
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per count."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre_panels(a: float, b: float, panels: int, nodes: int = 16):
     """Nodes and weights of composite Gauss-Legendre on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _legendre(nodes)
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -254,17 +274,27 @@ def discretize(sys: LtiSystem, T: float) -> DiscreteSystem:
 
 
 def simulate_sampled(sys: LtiSystem, inp: PiecewiseConstantInput) -> SampledDataset:
-    """Propagate chi_0 = x0 through all N periods; exact at sampling instants."""
+    """Propagate chi_0 = x0 through all N periods; exact at sampling instants.
+
+    The dataset's arrays are read-only, and it is memoized on inp: a second
+    call with this very system object returns the same dataset.
+    """
     if inp.m != sys.m:
         raise ValidationError("input dimension does not match B")
+    slot = inp._sampled
+    if slot and slot[0] is sys:
+        return slot[1]
     prop = discretize(sys, inp.T)
     states = np.empty((sys.n, inp.N + 1))
     states[:, 0] = sys.x0
     for k in range(inp.N):
         states[:, k + 1] = prop.a_t @ states[:, k] + prop.b_t @ inp.levels[:, k]
-    return SampledDataset(
+    states.setflags(write=False)
+    sd = SampledDataset(
         chi=states[:, : inp.N], mu=inp.levels, T=inp.T, chi_final=states[:, inp.N]
     )
+    slot[:] = sys, sd
+    return sd
 
 
 def state_at(sys: LtiSystem, inp: PiecewiseConstantInput, t) -> np.ndarray:

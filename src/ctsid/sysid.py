@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .filtering import FilteredDataset
-from .linalg import RankReport, frobenius_distance, pinv, svd_rank
+from .linalg import RankReport, _rank_pinv, frobenius_distance
 from .ltisim import LtiSystem, SampledDataset
 
 
@@ -39,11 +39,14 @@ def identify(
     rtol: float = 1e-8,
     truth: LtiSystem | None = None,
 ) -> IdentificationResult:
-    """[A_hat B_hat] = x_df [x_f; u_f]^+, informative iff rank [x_f; u_f] = n + m."""
+    """[A_hat B_hat] = x_df [x_f; u_f]^+, informative iff rank [x_f; u_f] = n + m.
+
+    The rank and the pseudo-inverse come from one SVD of [x_f; u_f].
+    """
     if fd.x_f.shape[0] != n or fd.u_f.shape[0] != m:
         raise ValidationError("filtered data dimensions disagree with n, m")
-    report = svd_rank(fd.stacked(), rtol)
-    ab = fd.x_df @ pinv(fd.stacked(), rtol)
+    report, s_pinv = _rank_pinv(fd.stacked(), rtol)
+    ab = fd.x_df @ s_pinv
     a_hat, b_hat = ab[:, :n], ab[:, n:]
     residual = float(np.linalg.norm(fd.x_df - a_hat @ fd.x_f - b_hat @ fd.u_f))
     err = None
@@ -72,17 +75,15 @@ def identify_discrete(sd: SampledDataset, rtol: float = 1e-8) -> DiscreteIdentif
 
     Cross-check path for the continuous identification: expm(A_hat * T)
     should reproduce A_T_hat. Needs the final state to form the shifted
-    sample matrix.
+    sample matrix. The rank and the pseudo-inverse come from one SVD.
     """
     n = sd.chi.shape[0]
     m = sd.mu.shape[0]
     chi_all = sd.chi_all
     if chi_all.shape[1] != sd.N + 1:
         raise ValidationError("discrete identification needs the final state")
-    z = np.vstack([sd.chi, sd.mu])
-    x_next = chi_all[:, 1:]
-    report = svd_rank(z, rtol) if np.any(z) else RankReport(0, np.zeros(min(z.shape)), 0.0)
-    ab_t = x_next @ pinv(z, rtol)
+    report, z_pinv = _rank_pinv(sd.stacked(), rtol)
+    ab_t = chi_all[:, 1:] @ z_pinv
     return DiscreteIdentificationResult(
         a_t_hat=ab_t[:, :n],
         b_t_hat=ab_t[:, n:],

@@ -328,6 +328,32 @@ class TestVerifyIntersample:
         [(t, rep)] = verify_intersample(aircraft_system, aircraft_input, [0.0])
         assert rep.rank == svd_rank(sd.stacked()).rank
 
+    def test_no_offsets_give_no_reports(self, aircraft_system, aircraft_input):
+        assert verify_intersample(aircraft_system, aircraft_input, []) == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batched_reports_equal_per_offset_svd_rank(self, seed):
+        # one batched SVD over every offset must give the verdict, spectrum
+        # and tolerance of svd_rank on each [chi(t); mu] bit for bit
+        rng = np.random.default_rng(700 + seed)
+        n, m, N = 2 + seed % 3, 1 + seed % 2, 7
+        sys_ = random_controllable_system(rng, n=n, m=m, T=0.1)
+        levels = rng.uniform(-1.0, 1.0, size=(m, N))
+        if seed % 2:
+            levels[:] = 0.0  # mu = 0, so [chi(t); mu] has rank at most n < n + m
+        inp = PiecewiseConstantInput(T=0.1, levels=levels)
+        offsets = np.append(rng.uniform(0.0, 0.1, size=9), 0.0)
+        sd = simulate_sampled(sys_, inp)
+        chi_t = discretize(sys_, 0.1).at(offsets) @ sd.stacked()
+        reports = verify_intersample(sys_, inp, offsets, rtol=1e-8)
+        assert [t for t, _ in reports] == offsets.tolist()
+        for (_, rep), chi in zip(reports, chi_t):
+            ref = svd_rank(np.vstack([chi, sd.mu]), 1e-8)
+            assert rep.rank == ref.rank
+            assert rep.singular_values.tobytes() == ref.singular_values.tobytes()
+            assert rep.tolerance_used == ref.tolerance_used
+            assert rep.rank <= n if seed % 2 else rep.rank == n + m
+
     def test_rejects_offsets_outside_period(self, aircraft_system, aircraft_input):
         with pytest.raises(ValidationError):
             verify_intersample(aircraft_system, aircraft_input, [aircraft.T])

@@ -15,7 +15,7 @@ from ctsid import (
     simulate_sampled,
     svd_rank,
 )
-from ctsid.linalg import expm, frobenius_distance, left_kernel_basis, pinv
+from ctsid.linalg import RankReport, expm, frobenius_distance, left_kernel_basis, pinv
 
 
 class TestSvdRank:
@@ -42,6 +42,19 @@ class TestSvdRank:
             svd_rank(np.eye(2), rtol=0.0)
         with pytest.raises(ValidationError):
             svd_rank(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestRankReport:
+    def test_rejects_increasing_singular_values(self):
+        with pytest.raises(ValidationError, match="nonincreasing"):
+            RankReport(rank=2, singular_values=np.array([1.0, 2.0]), tolerance_used=0.0)
+        with pytest.raises(ValidationError, match="nonincreasing"):
+            RankReport(rank=2, singular_values=np.array([3.0, 3.0, 1.0, 1.5]), tolerance_used=0.0)
+
+    @pytest.mark.parametrize("s", ([], [2.0], [3.0, 3.0, 0.0]))
+    def test_accepts_short_and_nonincreasing_vectors(self, s):
+        rep = RankReport(rank=len(s), singular_values=s, tolerance_used=0.0)
+        assert rep.singular_values.shape == (len(s),)
 
 
 class TestPinv:

@@ -14,7 +14,7 @@ from ctsid import (
     simulate_sampled,
     state_at,
 )
-from ctsid.ltisim import transition
+from ctsid.ltisim import _legendre, gauss_legendre_panels, transition
 from ctsid.oracles import rk4_oracle
 from conftest import controllability_matrix, random_controllable_system, state_fn
 
@@ -156,6 +156,62 @@ class TestSimulateSampled:
         for k in range(6):
             i = np.argmin(np.abs(traj.times - k * 0.2))
             assert np.allclose(sd.chi_all[:, k], traj.states[:, i], atol=1e-8)
+
+
+class TestSampledMemo:
+    """simulate_sampled runs the recurrence once per (system, input) and
+    hands out read-only arrays, so a caller cannot corrupt the memo."""
+
+    def test_source_mutation_leaves_levels_unchanged(self):
+        levels = np.array([[1.0, -2.0, 3.0]])
+        inp = PiecewiseConstantInput(T=0.1, levels=levels)
+        levels[0, 0] = 9.0
+        assert np.array_equal(inp.levels, [[1.0, -2.0, 3.0]])
+
+    def test_levels_are_read_only(self):
+        inp = PiecewiseConstantInput(T=0.1, levels=np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            inp.levels[0, 0] = 2.0
+
+    def test_memoized_dataset_is_shared_and_read_only(self, aircraft_system):
+        inp = aircraft.reference_input()
+        sd = simulate_sampled(aircraft_system, inp)
+        assert simulate_sampled(aircraft_system, inp) is sd
+        for arr in (sd.chi, sd.mu, sd.chi_final):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        assert np.max(np.abs(sd.chi_all - aircraft.CHI_PRINTED)) <= 5e-4
+
+    @pytest.mark.parametrize("order", ((0, 1), (1, 0)))
+    def test_each_system_gets_its_own_trajectory(self, order):
+        # equal (A, B), different x0: only the system object tells them apart
+        systems = [
+            LtiSystem(a=aircraft.A, b=aircraft.B, x0=x0) for x0 in (aircraft.X0, -2 * aircraft.X0)
+        ]
+        expected = [simulate_sampled(s, aircraft.reference_input()) for s in systems]
+        inp = aircraft.reference_input()
+        for i in order + order:
+            sd = simulate_sampled(systems[i], inp)
+            assert np.array_equal(sd.chi_all, expected[i].chi_all)
+            assert np.array_equal(sd.chi[:, 0], systems[i].x0)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("nodes", (1, 5, 16))
+    def test_equals_a_fresh_leggauss_build(self, nodes):
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        ts, ws = gauss_legendre_panels(-1.0, 1.0, 1, nodes)
+        assert ts.tobytes() == x.tobytes() and ws.tobytes() == w.tobytes()
+        ts, ws = gauss_legendre_panels(0.0, 0.5, 2, nodes)
+        assert ts.tobytes() == np.concatenate([0.125 * x + 0.125, 0.125 * x + 0.375]).tobytes()
+        assert ws.tobytes() == np.concatenate([0.125 * w, 0.125 * w]).tobytes()
+
+    def test_memoized_rule_is_read_only(self):
+        x, w = _legendre(16)
+        assert _legendre(16)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestStateAt:

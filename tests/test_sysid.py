@@ -16,7 +16,7 @@ from ctsid import (
     simulate_sampled,
 )
 from ctsid.filters import FAMILIES
-from ctsid.linalg import expm, frobenius_distance, svd_rank
+from ctsid.linalg import expm, frobenius_distance, pinv, svd_rank
 from conftest import random_controllable_system
 
 T = aircraft.T
@@ -177,3 +177,40 @@ class TestIdentifyDiscrete:
         sd = simulate_sampled(aircraft_system, aircraft_input)
         res_dt = identify_discrete(sd)
         assert frobenius_distance(expm(res_ct.a_hat * T), res_dt.a_t_hat) <= 1e-8
+
+
+def same_report(rep, ref) -> bool:
+    return (
+        rep.rank == ref.rank
+        and rep.singular_values.tobytes() == ref.singular_values.tobytes()
+        and rep.tolerance_used == ref.tolerance_used
+    )
+
+
+class TestOneSvdPerVerdict:
+    """identify and identify_discrete take the rank and the pseudo-inverse
+    from one SVD; the results equal the two public calls bit for bit."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_identify_equals_svd_rank_and_pinv(self, family, aircraft_system, aircraft_input):
+        fd = aircraft_filtered(family, aircraft_system, aircraft_input)
+        s = fd.stacked()
+        res = identify(fd, 4, 2)
+        assert same_report(res.stacked_rank, svd_rank(s))
+        assert res.ab_hat.tobytes() == (fd.x_df @ pinv(s)).tobytes()
+
+    def test_identify_discrete_equals_svd_rank_and_pinv(self, aircraft_system, aircraft_input):
+        sd = simulate_sampled(aircraft_system, aircraft_input)
+        res = identify_discrete(sd)
+        assert same_report(res.regressor_rank, svd_rank(sd.stacked()))
+        ab_t = sd.chi_all[:, 1:] @ pinv(sd.stacked())
+        assert np.hstack([res.a_t_hat, res.b_t_hat]).tobytes() == ab_t.tobytes()
+
+    def test_identify_discrete_on_zero_data(self):
+        sd = SampledDataset(chi=np.zeros((3, 5)), mu=np.zeros((2, 5)), T=0.1, chi_final=np.zeros(3))
+        res = identify_discrete(sd)
+        assert res.regressor_rank.rank == 0
+        assert res.regressor_rank.tolerance_used == 0.0
+        assert np.array_equal(res.regressor_rank.singular_values, np.zeros(5))
+        assert not res.informative
+        assert not np.any(res.a_t_hat) and not np.any(res.b_t_hat)

@@ -1,0 +1,83 @@
+"""Work that every job would otherwise repeat is done once.
+
+Counted by monkeypatching, so the removed work cannot creep back: a
+horizon-shaped pipeline (simulate, then filter and identify with all four
+families) runs the ZOH recurrence once, builds the Gauss-Legendre rule at
+most once per node count, and each identify or identify_discrete takes
+exactly one SVD.
+"""
+
+from collections import Counter
+
+import numpy as np
+
+import ctsid.aircraft as aircraft
+import ctsid.ltisim as ltisim
+from ctsid import (
+    LtiSystem,
+    NumericConfig,
+    PiecewiseConstantInput,
+    filter_lti_dataset,
+    identify,
+    identify_discrete,
+    make_filter_bank,
+    simulate_sampled,
+)
+from ctsid.filters import FAMILIES
+
+N = 32
+RHO = {"poly_test": aircraft.POLY_TEST_RHO, "bump_test": 2.0, "laguerre": 1.0, "lowpass": 1.0}
+
+
+def horizon_job(sys_, inp, config=NumericConfig()):
+    simulate_sampled(sys_, inp)
+    for family in FAMILIES:
+        bank = make_filter_bank(family, RHO[family], inp.T, N, N)
+        res = identify(filter_lti_dataset(sys_, inp, bank, config), sys_.n, sys_.m)
+        assert res.informative
+
+
+def fresh_job_inputs(seed):
+    rng = np.random.default_rng(seed)
+    sys_ = LtiSystem(a=aircraft.A, b=aircraft.B, x0=aircraft.X0 + rng.standard_normal(4))
+    return sys_, PiecewiseConstantInput(T=aircraft.T, levels=rng.uniform(-1, 1, size=(2, N)))
+
+
+def counting(fn, counter, key=lambda *args, **kwargs: None):
+    def wrapper(*args, **kwargs):
+        counter[key(*args, **kwargs)] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_recurrence_runs_once_per_job(monkeypatch):
+    # simulate_sampled builds one SampledDataset per run of the recurrence
+    built = Counter()
+    monkeypatch.setattr(ltisim, "SampledDataset", counting(ltisim.SampledDataset, built))
+    for seed in range(2):
+        horizon_job(*fresh_job_inputs(seed))
+        assert built[None] == seed + 1
+
+
+def test_legendre_rule_built_at_most_once_per_node_count(monkeypatch):
+    built = Counter()
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(
+        np.polynomial.legendre, "leggauss", counting(leggauss, built, key=lambda nodes: nodes)
+    )
+    ltisim._legendre.cache_clear()
+    for seed, nodes in ((0, 16), (1, 16), (2, 8)):
+        horizon_job(*fresh_job_inputs(seed), NumericConfig(quad_nodes=nodes))
+    assert built == {16: 1, 8: 1}
+
+
+def test_each_identification_takes_one_svd(monkeypatch):
+    sys_, inp = fresh_job_inputs(0)
+    horizon_job(sys_, inp)  # builds the propagators outside the count
+    svds = Counter()
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd, svds))
+    horizon_job(sys_, inp)
+    assert svds[None] == len(FAMILIES)  # filtering takes none
+    identify_discrete(simulate_sampled(sys_, inp))
+    assert svds[None] == len(FAMILIES) + 1
