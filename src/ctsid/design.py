@@ -2,7 +2,11 @@
 
 The designer drives a plant one sampling period at a time and keeps an
 orthonormal basis K = [K_x, K_u] of the left kernel of the stacked prefix
-[chi; mu]. At step k it observes chi_k and weighs two inputs of equal norm:
+[chi; mu]. K starts as the identity; each sample whose part outside the
+prefix, c = K [chi_k; mu_k], clears the svd_rank threshold removes one row
+by a Householder step (Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30
+(1976)), so no step refactors the prefix. At step k it observes chi_k and
+weighs two inputs of equal norm:
 the policy's, and the certificate input along the top right singular vector
 of K_u, signed so that the certificate (xi, eta) = u_1^T K gives
 |xi^T chi_k + eta^T mu_k| = |xi^T chi_k| + ||eta|| ||mu_k||. It takes the
@@ -22,12 +26,13 @@ the state through the system's one exact propagator (ltisim.discretize).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DesignFailureError, ValidationError
-from .linalg import RankReport, _rank_svd, left_kernel_basis, svd_rank
+from .linalg import RankReport, _rank_svd, svd_rank
 from .ltisim import (
     LtiSystem,
     PiecewiseConstantInput,
@@ -187,7 +192,7 @@ class SeededRandomPolicy:
 
     def __call__(self, k: int) -> np.ndarray:
         v = self._rng.standard_normal(self.m)
-        return v / np.linalg.norm(v)
+        return v / math.sqrt(v.dot(v))
 
 
 def run_online_design(
@@ -203,14 +208,25 @@ def run_online_design(
     Step 0 takes the policy's input, which must be nonzero. A later step
     takes the certificate input when the largest singular value of K_u
     exceeds rtol and that input gives the larger ||K [chi_k; mu_k]||.
-    rank_history is the rank of [chi; mu] after each step at the svd_rank
-    threshold.
 
-    Raises DesignFailureError with the dataset, branch log and rank report
-    when the final stacked matrix falls short of rank n + m (uncontrollable
+    K starts as the identity and is updated once per sample: with
+    c = K [chi_k; mu_k] for the input taken, if ||c|| exceeds
+    rtol * ||prefix||_F * (n + m) (svd_rank's threshold, with the Frobenius
+    norm bounding s_max), K becomes rows 2.. of H K, H the Householder
+    reflector with H c = -sign(c_1) ||c|| e_1; otherwise K stays. Each step
+    costs one SVD, of K_u. rank_history[k] is n + m - rows(K) after step k;
+    its last entry is the final svd_rank of [chi; mu].
+
+    Raises ValidationError, before the plant is driven, when rtol is not
+    positive, and before an input is recorded or applied when the policy's
+    input or the plant's state has the wrong length. Raises
+    DesignFailureError with the dataset, branch log and rank report when
+    the final stacked matrix falls short of rank n + m (uncontrollable
     plant, pathological sampling time, or tolerance mis-set for the data
     scale).
     """
+    if not rtol > 0:
+        raise ValidationError("rtol must be positive")
     policy = CyclingPolicy(m) if policy is None else policy
     N = n + m
     data = np.empty((N, N))  # [chi; mu], one column per step
@@ -218,29 +234,40 @@ def run_online_design(
     branches: list[str] = []
     certificates: list[KernelCertificate] = []
     rank_history: list[int] = []
+    kernel = np.eye(N)
+    sumsq = 0.0  # ||prefix||_F^2
 
-    chi_k = np.asarray(plant.reset(), dtype=float)
+    chi_k = _checked(plant.reset(), n, "plant state")
     for k in range(N):
         chi[:, k] = chi_k
-        mu_k = np.asarray(policy(k), dtype=float).reshape(-1)
+        mu_k = _checked(policy(k), m, "policy input")
         branch = "new-direction"
         if k == 0:
             if not np.any(mu_k):
                 raise ValidationError("mu_0 must be nonzero")
+            c = data[:, 0]
         else:
             a, k_u = kernel[:, :n] @ chi_k, kernel[:, n:]
             u, s, vh = np.linalg.svd(k_u, full_matrices=False)
             cert = u[:, 0] @ kernel
-            mu_c = np.linalg.norm(mu_k) * np.copysign(1.0, cert[:n] @ chi_k) * vh[0]
-            if s[0] > rtol and np.linalg.norm(a + k_u @ mu_c) > np.linalg.norm(a + k_u @ mu_k):
-                branch, mu_k = "certificate", mu_c
-                certificates.append(KernelCertificate(xi=cert[:n], eta=cert[n:], k=k))
+            mu_c = math.sqrt(mu_k.dot(mu_k)) * np.copysign(1.0, cert[:n] @ chi_k) * vh[0]
+            c = a + k_u @ mu_k
+            if s[0] > rtol:
+                c_c = a + k_u @ mu_c
+                if math.sqrt(c_c.dot(c_c)) > math.sqrt(c.dot(c)):
+                    branch, mu_k, c = "certificate", mu_c, c_c
+                    certificates.append(KernelCertificate(xi=cert[:n], eta=cert[n:], k=k))
         branches.append(branch)
         mu[:, k] = mu_k
         if k + 1 < N:
-            kernel = left_kernel_basis(data[:, : k + 1], rtol)
+            sumsq += chi_k.dot(chi_k) + mu_k.dot(mu_k)
+            norm_c = math.sqrt(c.dot(c))
+            if norm_c > rtol * math.sqrt(sumsq) * N:
+                v = c.copy()
+                v[0] += math.copysign(norm_c, c[0])
+                kernel = kernel[1:] - np.outer(v[1:] / (norm_c * abs(v[0])), v @ kernel)
             rank_history.append(N - kernel.shape[0])
-        chi_k = np.asarray(plant.apply(mu_k), dtype=float)
+        chi_k = _checked(plant.apply(mu_k), n, "plant state")
 
     dataset = SampledDataset(chi=chi, mu=mu, T=T, chi_final=chi_k)
     report = svd_rank(data, rtol)
@@ -261,6 +288,14 @@ def run_online_design(
             rank_report=report,
         )
     return result
+
+
+def _checked(vector, length: int, what: str) -> np.ndarray:
+    """vector as a flat float array, or ValidationError if its length differs."""
+    v = np.asarray(vector, dtype=float).reshape(-1)
+    if v.shape[0] != length:
+        raise ValidationError(f"{what} has length {v.shape[0]}, expected {length}")
+    return v
 
 
 def verify_intersample(

@@ -240,6 +240,78 @@ class TestLargeStateDimension:
         assert_discrete_model_exact(res, sys_, 0.1)
 
 
+def assert_rank_history_is_prefix_rank(res, rtol=1e-8):
+    """The Householder-updated rank of each prefix is its svd_rank."""
+    data = res.dataset.stacked()
+    prefix_ranks = [svd_rank(data[:, : k + 1], rtol).rank for k in range(data.shape[1])]
+    assert res.rank_history == prefix_ranks
+
+
+class TestRankHistory:
+    def test_aircraft_random_policy_designs(self, aircraft_system):
+        for seed in range(20):
+            res = run_online_design(
+                SimulatedPlant(aircraft_system, aircraft.T), 4, 2, aircraft.T,
+                policy=SeededRandomPolicy(2, seed=seed),
+            )
+            assert_rank_history_is_prefix_rank(res)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_systems(self, seed):
+        # the systems of test_random_systems_always_succeed
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, 3))
+        sys_ = random_controllable_system(rng, n, m, T=0.1)
+        assert_rank_history_is_prefix_rank(run_online_design(SimulatedPlant(sys_, 0.1), n, m, 0.1))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_large_state_dimension(self, m, seed):
+        # the designs of TestLargeStateDimension that succeed (every n = 10 one)
+        sys_ = controllable_by_construction(np.random.default_rng([10, m, seed]), 10, m, 0.1)
+        assert_rank_history_is_prefix_rank(run_online_design(SimulatedPlant(sys_, 0.1), 10, m, 0.1))
+
+
+class CountingPlant:
+    """Aircraft plant that counts apply calls."""
+
+    def __init__(self, sys_):
+        self._plant = SimulatedPlant(sys_, aircraft.T)
+        self.applied = 0
+
+    def reset(self, x0=None):
+        return self._plant.reset(x0)
+
+    def apply(self, mu):
+        self.applied += 1
+        return self._plant.apply(mu)
+
+
+class TestRejectedBeforeThePlantMoves:
+    @pytest.mark.parametrize("rtol", [0.0, -1e-8])
+    def test_nonpositive_rtol(self, aircraft_system, rtol):
+        plant = CountingPlant(aircraft_system)
+        with pytest.raises(ValidationError, match="rtol"):
+            run_online_design(plant, 4, 2, aircraft.T, rtol=rtol)
+        assert plant.applied == 0
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_policy_input_of_the_wrong_length(self, aircraft_system, length):
+        # length 1 used to be broadcast into the record while the plant got
+        # the length-1 vector; length 3 raised a bare numpy ValueError
+        plant = CountingPlant(aircraft_system)
+        with pytest.raises(ValidationError, match="expected 2"):
+            run_online_design(plant, 4, 2, aircraft.T, policy=lambda k: np.ones(length))
+        assert plant.applied == 0
+
+    def test_plant_state_of_the_wrong_length(self, aircraft_system):
+        plant = CountingPlant(aircraft_system)  # four states
+        with pytest.raises(ValidationError, match="expected 3"):
+            run_online_design(plant, 3, 2, aircraft.T)
+        assert plant.applied == 0
+
+
 class TestReplayPlant:
     def test_replay_reproduces_design(self, aircraft_system):
         res = run_online_design(SimulatedPlant(aircraft_system, aircraft.T), 4, 2, aircraft.T)

@@ -3,8 +3,9 @@
 Counted by monkeypatching, so the removed work cannot creep back: a
 horizon-shaped pipeline (simulate, then filter and identify with all four
 families) runs the ZOH recurrence once, builds the Gauss-Legendre rule at
-most once per node count, and each identify or identify_discrete takes
-exactly one SVD.
+most once per node count, each identify or identify_discrete takes
+exactly one SVD, and an online design takes one SVD per step: n + m - 1
+of K_u and the final rank verdict.
 """
 
 from collections import Counter
@@ -21,9 +22,12 @@ from ctsid import (
     identify,
     identify_discrete,
     make_filter_bank,
+    SimulatedPlant,
+    run_online_design,
     simulate_sampled,
 )
 from ctsid.filters import FAMILIES
+from conftest import controllable_by_construction
 
 N = 32
 RHO = {"poly_test": aircraft.POLY_TEST_RHO, "bump_test": 2.0, "laguerre": 1.0, "lowpass": 1.0}
@@ -81,3 +85,20 @@ def test_each_identification_takes_one_svd(monkeypatch):
     assert svds[None] == len(FAMILIES)  # filtering takes none
     identify_discrete(simulate_sampled(sys_, inp))
     assert svds[None] == len(FAMILIES) + 1
+
+
+def test_online_design_takes_one_svd_per_step(monkeypatch):
+    # n + m - 1 SVDs of K_u and the final verdict; recomputing the prefix's
+    # left kernel after each sample took 2(n + m) - 1 (11 and 23 here)
+    ten_states = controllable_by_construction(np.random.default_rng([10, 2, 0]), 10, 2, 0.1)
+    plants = [
+        (SimulatedPlant(aircraft.system(), aircraft.T), 4, 2, aircraft.T),
+        (SimulatedPlant(ten_states, 0.1), 10, 2, 0.1),
+    ]
+    svds = Counter()
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd, svds))
+    for plant, n, m, T in plants:
+        svds.clear()
+        res = run_online_design(plant, n, m, T)
+        assert res.rank_report.rank == n + m
+        assert svds[None] == n + m
