@@ -219,11 +219,11 @@ def run_online_design(
 
     Raises ValidationError, before the plant is driven, when rtol is not
     positive, and before an input is recorded or applied when the policy's
-    input or the plant's state has the wrong length. Raises
-    DesignFailureError with the dataset, branch log and rank report when
-    the final stacked matrix falls short of rank n + m (uncontrollable
-    plant, pathological sampling time, or tolerance mis-set for the data
-    scale).
+    input or the plant's state has the wrong length or a non-finite
+    entry. Raises DesignFailureError with the dataset, branch log and rank
+    report when the final stacked matrix falls short of rank n + m
+    (uncontrollable plant, pathological sampling time, or tolerance mis-set
+    for the data scale).
     """
     if not rtol > 0:
         raise ValidationError("rtol must be positive")
@@ -291,10 +291,14 @@ def run_online_design(
 
 
 def _checked(vector, length: int, what: str) -> np.ndarray:
-    """vector as a flat float array, or ValidationError if its length differs."""
+    """vector as a flat float array, or ValidationError if its length
+    differs or an entry is not finite."""
     v = np.asarray(vector, dtype=float).reshape(-1)
     if v.shape[0] != length:
         raise ValidationError(f"{what} has length {v.shape[0]}, expected {length}")
+    # v.v is finite unless an entry is not, or |v| overflows its square
+    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
+        raise ValidationError(f"{what} entries must be finite")
     return v
 
 

@@ -117,6 +117,13 @@ def check_design_steps(res, policy_factory):
     return signs
 
 
+def assert_rank_history_is_prefix_rank(res, rtol=1e-8):
+    """The Householder-updated rank of each prefix is its svd_rank."""
+    data = res.dataset.stacked()
+    prefix_ranks = [svd_rank(data[:, : k + 1], rtol).rank for k in range(data.shape[1])]
+    assert res.rank_history == prefix_ranks
+
+
 class TestRunOnlineDesign:
     def test_aircraft_reaches_full_rank_in_six_steps(self, aircraft_system):
         plant = SimulatedPlant(aircraft_system, aircraft.T)
@@ -146,6 +153,7 @@ class TestRunOnlineDesign:
         assert res.rank_report.rank == n + m
         # rank grows by one every step: minimal-length experiment
         assert res.rank_history == list(range(1, n + m + 1))
+        assert_rank_history_is_prefix_rank(res)
         check_design_steps(res, lambda: CyclingPolicy(m))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -168,6 +176,7 @@ class TestRunOnlineDesign:
                 policy=SeededRandomPolicy(2, seed=seed),
             )
             assert res.rank_report.rank == 6
+            assert_rank_history_is_prefix_rank(res)
             signs |= check_design_steps(res, lambda: SeededRandomPolicy(2, seed=seed))
         assert signs == {-1.0, 1.0}  # the sign fix is exercised both ways
 
@@ -230,6 +239,7 @@ class TestLargeStateDimension:
             assert exc.rank_report.rank < n + m
             return
         assert res.rank_report.rank == n + m
+        assert_rank_history_is_prefix_rank(res)
         assert_discrete_model_exact(res, sys_, T)
 
     def test_ten_states_two_inputs(self):
@@ -238,39 +248,6 @@ class TestLargeStateDimension:
         res = run_online_design(SimulatedPlant(sys_, 0.1), 10, 2, 0.1)
         assert res.rank_history == list(range(1, 13))
         assert_discrete_model_exact(res, sys_, 0.1)
-
-
-def assert_rank_history_is_prefix_rank(res, rtol=1e-8):
-    """The Householder-updated rank of each prefix is its svd_rank."""
-    data = res.dataset.stacked()
-    prefix_ranks = [svd_rank(data[:, : k + 1], rtol).rank for k in range(data.shape[1])]
-    assert res.rank_history == prefix_ranks
-
-
-class TestRankHistory:
-    def test_aircraft_random_policy_designs(self, aircraft_system):
-        for seed in range(20):
-            res = run_online_design(
-                SimulatedPlant(aircraft_system, aircraft.T), 4, 2, aircraft.T,
-                policy=SeededRandomPolicy(2, seed=seed),
-            )
-            assert_rank_history_is_prefix_rank(res)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_systems(self, seed):
-        # the systems of test_random_systems_always_succeed
-        rng = np.random.default_rng(300 + seed)
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(1, 3))
-        sys_ = random_controllable_system(rng, n, m, T=0.1)
-        assert_rank_history_is_prefix_rank(run_online_design(SimulatedPlant(sys_, 0.1), n, m, 0.1))
-
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("seed", range(2))
-    def test_large_state_dimension(self, m, seed):
-        # the designs of TestLargeStateDimension that succeed (every n = 10 one)
-        sys_ = controllable_by_construction(np.random.default_rng([10, m, seed]), 10, m, 0.1)
-        assert_rank_history_is_prefix_rank(run_online_design(SimulatedPlant(sys_, 0.1), 10, m, 0.1))
 
 
 class CountingPlant:
@@ -309,6 +286,26 @@ class TestRejectedBeforeThePlantMoves:
         plant = CountingPlant(aircraft_system)  # four states
         with pytest.raises(ValidationError, match="expected 3"):
             run_online_design(plant, 3, 2, aircraft.T)
+        assert plant.applied == 0
+
+    def test_non_finite_policy_input(self, aircraft_system):
+        plant = CountingPlant(aircraft_system)
+        with pytest.raises(ValidationError, match="finite"):
+            run_online_design(plant, 4, 2, aircraft.T, policy=lambda k: np.full(2, np.nan))
+        assert plant.applied == 0
+
+    def test_non_finite_input_later_never_reaches_the_plant(self, aircraft_system):
+        plant = CountingPlant(aircraft_system)
+        policy = lambda k: np.ones(2) if k < 2 else np.array([1.0, np.inf])
+        with pytest.raises(ValidationError, match="finite"):
+            run_online_design(plant, 4, 2, aircraft.T, policy=policy)
+        assert plant.applied == 2
+
+    def test_non_finite_plant_state(self, aircraft_system):
+        plant = CountingPlant(aircraft_system)
+        plant.reset = lambda x0=None: np.full(4, np.inf)
+        with pytest.raises(ValidationError, match="finite"):
+            run_online_design(plant, 4, 2, aircraft.T)
         assert plant.applied == 0
 
 
