@@ -122,6 +122,14 @@ XDF_LOWPASS_PRINTED = np.array(
     ]
 )
 
+# (family, rho, printed (x_f, u_f, x_df), identification error) per reference run
+REFERENCE_RUNS = (
+    ("poly_test", POLY_TEST_RHO, (XF_POLY_PRINTED, UF_POLY_PRINTED, XDF_POLY_PRINTED),
+     REFERENCE_ERROR_POLY),
+    ("lowpass", LOWPASS_RHO, (XF_LOWPASS_PRINTED, UF_LOWPASS_PRINTED, XDF_LOWPASS_PRINTED),
+     REFERENCE_ERROR_LOWPASS),
+)
+
 
 def system() -> LtiSystem:
     return LtiSystem(a=A, b=B, x0=X0)

@@ -2,11 +2,11 @@
 and verification together.
 
 Commands: simulate, design, filter, identify, verify, demo-aircraft, and
-"filters plot-data". Configuration comes from a JSON file (--config) with
-flag overrides; all outputs land under --out.
-
-Exit codes: 0 success, 2 validation error, 3 numerical/design failure,
-4 verification failure.
+"filters plot-data". Configuration comes from a JSON file (--config); each
+command accepts only the flags it reads, and a flag overrides the config field
+it names. Outputs land under --out; verify and demo-aircraft print PASS/FAIL
+rows. Exit codes: 0 success, 2 validation error or unknown flag, 3
+numerical/design failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from .errors import (
     VerificationError,
 )
 from .filtering import (
-    FilteredDataset,
     build_relation_matrices,
     factorization_residual,
     filter_lti_dataset,
     verify_algebraic,
 )
 from .filters import decompose, eval_g, make_filter_bank
-from .linalg import frobenius_distance, svd_rank
+from .linalg import svd_rank
 from .ltisim import (
     LtiSystem,
     PiecewiseConstantInput,
@@ -63,14 +62,25 @@ from .serialize import (
 from .sysid import identify
 
 
+# flag -> the config field it overrides (section None: the top level), type
+_OVERRIDES = {
+    "seed": ("design", "seed", int),
+    "rtol": ("numeric", "rank_rtol", float),
+    "panels": ("numeric", "quad_panels", int),
+    "family": ("filter", "family", str),
+    "rho": ("filter", "rho", float),
+    "T": (None, "T", float),
+    "M": ("filter", "M", int),
+    "N": (None, "N", int),
+}
+
+
 def _load_config(args) -> dict:
     cfg = read_json(args.config) if args.config else {}
-    if args.rtol is not None:
-        cfg.setdefault("numeric", {})["rank_rtol"] = args.rtol
-    if args.panels is not None:
-        cfg.setdefault("numeric", {})["quad_panels"] = args.panels
-    if args.seed is not None:
-        cfg.setdefault("design", {})["seed"] = args.seed
+    for flag, (section, field, _) in _OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            (cfg.setdefault(section, {}) if section else cfg)[field] = value
     return cfg
 
 
@@ -213,139 +223,94 @@ def cmd_identify(args) -> int:
     return 0
 
 
+_JUDGE_FLOOR = 2.0**-459  # sqrt(smallest normal double) / eps, about 6.7e-139
+
+
+def _relative_row(name: str, data: np.ndarray, what: str, relative):
+    """PASS when relative(||data||_F) <= 1e-6. Data whose norm is not finite
+    or so small that the residual would underflow cannot be judged: FAIL."""
+    norm = float(np.linalg.norm(data))
+    if not _JUDGE_FLOOR <= norm < np.inf:
+        return name, False, (f"cannot judge: ||{what}||_F = {norm:.3e}, "
+                             f"not in [{_JUDGE_FLOOR:.1e}, inf)")
+    rel = relative(norm)
+    return name, rel <= 1e-6, f"relative residual {rel:.3e}"
+
+
+def _report(rows: list[tuple[str, bool, str]]) -> None:
+    """Print one PASS/FAIL row per check; raise naming the failed checks."""
+    for name, ok, detail in rows:
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    failed = [name for name, ok, _ in rows if not ok]
+    if failed:
+        raise VerificationError(f"checks failed: {', '.join(failed)}")
+
+
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     sys_, T = _system(cfg)
     num = _numeric(cfg)
     inp = _input(cfg, T)
-    n, m = sys_.n, sys_.m
-    bank = _bank(cfg, T, inp.N, n, m)
+    bank = _bank(cfg, T, inp.N, sys_.n, sys_.m)
+    rel = build_relation_matrices(sys_, decompose(bank, inp.N), num)
     if args.filtered:
         fd = filtered_dataset_from_dict(read_json(args.filtered))
+        filtered_by = make_filter_bank(fd.family, fd.rho, fd.T, fd.M, bank.N)
+        if filtered_by != bank:
+            raise ValidationError(f"{args.filtered} was filtered by {filtered_by}, not by {bank}")
     else:
         fd = filter_lti_dataset(sys_, inp, bank, num)
     sd = simulate_sampled(sys_, inp)
+    s_sampled, s_filtered = sd.stacked(), fd.stacked()
 
-    checks: list[tuple[str, bool, str]] = []
-
-    res13 = verify_algebraic(fd, sys_)
-    rel13 = res13 / max(float(np.linalg.norm(fd.x_df)), 1e-300)
-    checks.append(("algebraic-relation", rel13 <= 1e-6, f"relative residual {rel13:.3e}"))
-
-    try:
-        decomp = decompose(bank, inp.N)
-        rel = build_relation_matrices(sys_, decomp, num)
-        fres = factorization_residual(fd, sd, rel)
-        checks.append(("factorization", fres <= 1e-6, f"relative residual {fres:.3e}"))
-        ladder_ok = True
-        detail = []
-        s_sampled, s_filtered = sd.stacked(), fd.stacked()
-        for k in range(1, min(inp.N, bank.M) + 1):
-            r_sampled = svd_rank(s_sampled[:, :k], num.rank_rtol).rank
-            r_filtered = svd_rank(s_filtered[:, :k], num.rank_rtol).rank
-            detail.append(f"k={k}:{r_sampled}/{r_filtered}")
-            ladder_ok &= r_sampled == r_filtered
-        checks.append(("rank-ladder", ladder_ok, " ".join(detail)))
-    except ValidationError as exc:
-        checks.append(("factorization", True, f"not applicable: {exc}"))
-        checks.append(("rank-ladder", True, f"not applicable: {exc}"))
-
+    rows = [
+        _relative_row("algebraic-relation", fd.x_df, "x_df",
+                      lambda norm: verify_algebraic(fd, sys_) / norm),
+        _relative_row("factorization", s_filtered, "[x_f; u_f]",
+                      lambda _: factorization_residual(fd, sd, rel)),
+    ]
+    ladder = [tuple(svd_rank(s[:, :k], num.rank_rtol).rank for s in (s_sampled, s_filtered))
+              for k in range(1, min(inp.N, bank.M) + 1)]
+    rows.append(("rank-ladder", all(r_s == r_f for r_s, r_f in ladder),
+                 " ".join(f"k={k}:{r_s}/{r_f}" for k, (r_s, r_f) in enumerate(ladder, 1))))
     rng = np.random.default_rng(cfg.get("design", {}).get("seed", 0))
-    offsets = rng.uniform(0.0, T, size=10)
-    ranks = verify_intersample(sys_, inp, offsets, num.rank_rtol)
-    target = svd_rank(sd.stacked(), num.rank_rtol).rank
-    inter_ok = all(r.rank == target for _, r in ranks)
-    checks.append(
-        ("intersample-rank", inter_ok, f"rank {target} at {len(ranks)} offsets")
-    )
+    ranks = verify_intersample(sys_, inp, rng.uniform(0.0, T, size=10), num.rank_rtol)
+    target = svd_rank(s_sampled, num.rank_rtol).rank
+    rows.append(("intersample-rank", all(r.rank == target for _, r in ranks),
+                 f"rank {target} at {len(ranks)} offsets"))
+    if target == 0:  # every rank reads 0 on data that excite nothing
+        rows[2:] = [(name, False, "cannot judge: [chi; mu] has rank 0") for name, _, _ in rows[2:]]
 
-    out = _outdir(args)
-    write_json(
-        out / "verification.json",
-        {name: {"passed": ok, "detail": detail} for name, ok, detail in checks},
-    )
-    failed = [name for name, ok, _ in checks if not ok]
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    if failed:
-        raise VerificationError(f"checks failed: {', '.join(failed)}")
+    write_json(_outdir(args) / "verification.json",
+               {name: {"passed": ok, "detail": detail} for name, ok, detail in rows})
+    _report(rows)
     return 0
 
 
 def cmd_demo_aircraft(args) -> int:
-    sys_ = aircraft.system()
-    inp = aircraft.reference_input()
-    n, m = sys_.n, sys_.m
-    num = NumericConfig(quad_panels=args.panels or 8)
-    rows: list[tuple[str, float, float, float]] = []  # name, reference, computed, bar
+    sys_, inp = aircraft.system(), aircraft.reference_input()
+    p = sys_.n + sys_.m
+
+    def printed(name, computed, table):
+        delta = float(np.max(np.abs(computed - table)))
+        return name, delta <= 5e-4, f"max |computed - printed| {delta:.2e} (bar 5e-4)"
+
+    def rank(name, r):
+        return name, r == p, f"rank {r} of {p}"
 
     sd = simulate_sampled(sys_, inp)
-    chi_diff = float(np.max(np.abs(sd.chi_all - aircraft.CHI_PRINTED)))
-    rows.append(("max |chi - reference|", 0.0, chi_diff, 5e-4))
-
-    results = {}
-    for family, rho, refs in (
-        (
-            "poly_test",
-            aircraft.POLY_TEST_RHO,
-            (aircraft.XF_POLY_PRINTED, aircraft.UF_POLY_PRINTED, aircraft.XDF_POLY_PRINTED),
-        ),
-        (
-            "lowpass",
-            aircraft.LOWPASS_RHO,
-            (
-                aircraft.XF_LOWPASS_PRINTED,
-                aircraft.UF_LOWPASS_PRINTED,
-                aircraft.XDF_LOWPASS_PRINTED,
-            ),
-        ),
-    ):
+    rows = [printed("chi", sd.chi_all, aircraft.CHI_PRINTED),
+            rank("rank [chi; mu]", svd_rank(sd.stacked()).rank)]
+    for family, rho, tables, reference_error in aircraft.REFERENCE_RUNS:
         bank = make_filter_bank(family, rho, aircraft.T, aircraft.M, aircraft.N)
-        fd = filter_lti_dataset(sys_, inp, bank, num)
-        for name, mat, ref in zip(("x_f", "u_f", "x_df"), (fd.x_f, fd.u_f, fd.x_df), refs):
-            rows.append(
-                (f"{family} max |{name} - reference|", 0.0, float(np.max(np.abs(mat - ref))), 5e-4)
-            )
-        results[family] = identify(fd, n, m, truth=sys_)
-
-    rank_sampled = svd_rank(sd.stacked()).rank
-    rank_poly = results["poly_test"].stacked_rank.rank
-    rows.append(("rank [chi; mu]", 6, float(rank_sampled), 0.0))
-    rows.append(("rank [x_f; u_f]", 6, float(rank_poly), 0.0))
-    rows.append(
-        (
-            "identification error (poly_test)",
-            aircraft.REFERENCE_ERROR_POLY,
-            results["poly_test"].frobenius_error,
-            1e-5,
-        )
-    )
-    rows.append(
-        (
-            "identification error (lowpass)",
-            aircraft.REFERENCE_ERROR_LOWPASS,
-            results["lowpass"].frobenius_error,
-            1e-5,
-        )
-    )
-
-    print(f"{'quantity':42s} {'reference':>12s} {'computed':>12s} {'|delta|':>10s}")
-    failed = False
-    for name, ref, computed, bar in rows:
-        if bar == 0.0:  # exact check (ranks)
-            delta = abs(computed - ref)
-            ok = delta == 0
-        elif ref == 0.0:  # computed value is itself a deviation
-            delta = computed
-            ok = computed <= bar
-        else:  # bounded absolute quantity
-            delta = abs(computed)
-            ok = computed <= bar
-        failed |= not ok
-        print(f"{name:42s} {ref:12.4e} {computed:12.4e} {delta:10.2e}"
-              + ("" if ok else "  <-- FAIL"))
-    if failed:
-        raise VerificationError("aircraft demo deviates from the reference values")
+        fd = filter_lti_dataset(sys_, inp, bank)
+        for name, computed, table in zip(("x_f", "u_f", "x_df"), (fd.x_f, fd.u_f, fd.x_df), tables):
+            rows.append(printed(f"{family} {name}", computed, table))
+        result = identify(fd, sys_.n, sys_.m, truth=sys_)
+        rows += [rank(f"{family} rank [x_f; u_f]", result.stacked_rank.rank),
+                 (f"{family} identification error", result.frobenius_error <= 1e-5,
+                  f"{result.frobenius_error:.4e} (bar 1e-5; reference run {reference_error:.4e})")]
+    _report(rows)
     print("all aircraft reference values reproduced")
     return 0
 
@@ -353,12 +318,9 @@ def cmd_demo_aircraft(args) -> int:
 def cmd_filters_plot_data(args) -> int:
     cfg = _load_config(args)
     fc = cfg.get("filter", {})
-    family = fc.get("family", args.family)
-    rho = float(fc.get("rho", args.rho))
-    T = float(cfg.get("T", args.T))
-    M = int(fc.get("M", args.M))
-    N = int(cfg.get("N", max(M, args.N)))
-    bank = make_filter_bank(family, rho, T, M, N)
+    family, M = fc.get("family", "poly_test"), int(fc.get("M", 3))
+    bank = make_filter_bank(family, float(fc.get("rho", 1.0)), float(cfg.get("T", 1.0)), M,
+                            max(M, int(cfg.get("N", 3))))
     grid = np.linspace(0.0, bank.horizon, args.points, endpoint=False)
     cols = [grid] + [np.asarray(eval_g(bank, ell, grid)) for ell in range(1, M + 1)]
     out = _outdir(args)
@@ -371,52 +333,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ctsid", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(parsers, name, func, summary, *overrides):
+        sp = parsers.add_parser(name, help=summary)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--rtol", type=float, default=None)
-        sp.add_argument("--panels", type=int, default=None)
+        for flag in overrides:
+            section, field, kind = _OVERRIDES[flag]
+            sp.add_argument(f"--{flag}", type=kind,
+                            help=f"overrides {section + '.' if section else ''}{field}")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("simulate", help="simulate sampled data and a dense trajectory")
-    common(sp)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("design", help="run the online experiment design")
-    common(sp)
-    sp.set_defaults(func=cmd_design)
-
-    sp = sub.add_parser("filter", help="produce a filtered dataset")
-    common(sp)
-    sp.add_argument("--dataset", help="sampled-dataset JSON to take the input from")
-    sp.set_defaults(func=cmd_filter)
-
-    sp = sub.add_parser("identify", help="identify (A, B) from a filtered dataset")
-    common(sp)
-    sp.add_argument("data", help="filtered-dataset JSON file")
-    sp.set_defaults(func=cmd_identify)
-
-    sp = sub.add_parser("verify", help="run the verification checks")
-    common(sp)
-    sp.add_argument("--filtered", help="filtered-dataset JSON to verify")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("demo-aircraft", help="reproduce the aircraft example end-to-end")
-    common(sp)
-    sp.set_defaults(func=cmd_demo_aircraft)
-
-    sp = sub.add_parser("filters", help="filter-function utilities")
-    fsub = sp.add_subparsers(dest="filters_command", required=True)
-    fp = fsub.add_parser("plot-data", help="emit (t, g_l(t)) CSV for a filter bank")
-    common(fp)
-    fp.add_argument("--family", default="poly_test")
-    fp.add_argument("--rho", type=float, default=1.0)
-    fp.add_argument("--T", type=float, default=1.0)
-    fp.add_argument("--M", type=int, default=3)
-    fp.add_argument("--N", type=int, default=3)
-    fp.add_argument("--points", type=int, default=600)
-    fp.set_defaults(func=cmd_filters_plot_data)
-
+    command(sub, "simulate", cmd_simulate, "simulate sampled data and a dense trajectory")
+    command(sub, "design", cmd_design, "run the online experiment design", "seed", "rtol")
+    command(sub, "filter", cmd_filter, "produce a filtered dataset", "panels").add_argument(
+        "--dataset", help="sampled-dataset JSON to take the input from")
+    command(sub, "identify", cmd_identify, "identify (A, B) from a filtered dataset",
+            "rtol").add_argument("data", help="filtered-dataset JSON file")
+    command(sub, "verify", cmd_verify, "run the verification checks", "seed", "rtol",
+            "panels").add_argument("--filtered", help="filtered-dataset JSON to verify")
+    sub.add_parser("demo-aircraft", help="reproduce the aircraft example end-to-end"
+                   ).set_defaults(func=cmd_demo_aircraft)
+    fsub = sub.add_parser("filters", help="filter-function utilities").add_subparsers(
+        dest="filters_command", required=True)
+    command(fsub, "plot-data", cmd_filters_plot_data, "emit (t, g_l(t)) CSV for a filter bank",
+            "family", "rho", "T", "M", "N").add_argument("--points", type=int, default=600)
     return p
 
 

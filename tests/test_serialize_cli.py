@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ class TestCli:
         assert fd.x_f.shape == (4, 6)
 
     def test_demo_aircraft(self, tmp_path, capsys):
-        rc = main(["demo-aircraft", "--out", str(tmp_path / "o")])
+        rc = main(["demo-aircraft"])
         captured = capsys.readouterr()
         assert rc == 0, captured.out + captured.err
         assert "all aircraft reference values reproduced" in captured.out
@@ -226,6 +227,84 @@ class TestCli:
             out2 / "design_result.json"
         ).read_bytes()
 
+    def test_demo_prints_one_row_per_check(self, capsys):
+        assert main(["demo-aircraft"]) == 0
+        rows = capsys.readouterr().out.splitlines()[:-1]
+        assert len(rows) == 12 and all(row.startswith("PASS  ") for row in rows)
+        for family in ("poly_test", "lowpass"):
+            assert f"PASS  {family} rank [x_f; u_f]: rank 6 of 6" in rows
+
+    def test_demo_fails_on_a_moved_table_entry(self, monkeypatch, capsys):
+        family, rho, (x_f, u_f, x_df), error = aircraft.REFERENCE_RUNS[0]
+        moved = x_f.copy()
+        moved[1, 2] += 1e-3
+        monkeypatch.setattr(
+            aircraft, "REFERENCE_RUNS",
+            ((family, rho, (moved, u_f, x_df), error), *aircraft.REFERENCE_RUNS[1:]),
+        )
+        assert main(["demo-aircraft"]) == 4
+        out = capsys.readouterr().out
+        assert f"FAIL  {family} x_f:" in out
+        assert "all aircraft reference values reproduced" not in out
+
+    @pytest.mark.parametrize("scale", [0.0, 2.0**-500])
+    def test_verify_fails_on_data_it_cannot_judge(self, scale, tmp_path):
+        """All-zero data give no check anything to measure; at 2^-500 the data
+        are normal doubles, but a residual at rounding level underflows in the
+        norm and would read 0. verify fails on both instead of passing blind."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "T": aircraft.T,
+            "system": {"A": aircraft.A.tolist(), "B": aircraft.B.tolist(),
+                       "x0": (scale * aircraft.X0).tolist()},
+            "input": {"levels": (scale * aircraft.MU).tolist()},
+            "filter": AIRCRAFT_CFG["filter"],
+        }))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        ver = read_json(tmp_path / "o" / "verification.json")
+        blind = ["algebraic-relation", "factorization"]
+        if scale == 0.0:
+            blind += ["rank-ladder", "intersample-rank"]
+        else:  # the rank verdicts are relative and still see rank 6
+            assert ver["intersample-rank"] == {"passed": True, "detail": "rank 6 at 10 offsets"}
+        for name in blind:
+            assert not ver[name]["passed"], name
+            assert ver[name]["detail"].startswith("cannot judge"), name
+
+    def test_verify_filtered_with_m_above_n_exits_2(self, aircraft_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["filter", "--config", str(aircraft_config), "--out", str(out)]) == 0
+        cfg = tmp_path / "m7.json"
+        cfg.write_text(json.dumps({**AIRCRAFT_CFG, "filter": {**AIRCRAFT_CFG["filter"], "M": 7}}))
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--filtered", str(out / "filtered_dataset.json")]) == 2
+        assert "N >= M" in capsys.readouterr().err
+
+    def test_verify_filtered_from_another_bank_exits_2(self, aircraft_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["filter", "--config", str(aircraft_config), "--out", str(out)]) == 0
+        cfg = tmp_path / "lowpass.json"
+        cfg.write_text(json.dumps({**AIRCRAFT_CFG, "filter": {"family": "lowpass", "rho": 1.0}}))
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--filtered", str(out / "filtered_dataset.json")]) == 2
+        err = capsys.readouterr().err
+        assert "'poly_test'" in err and "'lowpass'" in err
+        assert not (out / "verification.json").exists()
+
+    def test_plot_data_flags_override_the_config(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"T": 0.1, "filter": {"family": "poly_test", "rho": 5.0, "M": 4}}))
+        out = tmp_path / "o"
+        assert main(["filters", "plot-data", "--config", str(cfg), "--family", "lowpass",
+                     "--rho", "2", "--out", str(out)]) == 0
+        assert not (out / "filter_poly_test.csv").exists()
+        data = matrix_from_csv(out / "filter_lowpass.csv")
+        assert data.shape == (600, 5)  # M = 4 and T = 0.1 still come from the file
+        from ctsid import eval_g
+
+        bank = make_filter_bank("lowpass", 2.0, 0.1, 4, 4)
+        assert np.allclose(data[:, 4], eval_g(bank, 4, data[:, 0]))
+
     def test_console_script_installed(self):
         import shutil
         import subprocess
@@ -237,3 +316,42 @@ class TestCli:
         assert proc.returncode == 0
         for name in ("simulate", "design", "filter", "identify", "verify", "demo-aircraft"):
             assert name in proc.stdout
+
+
+# The flags each command reads, besides -h/--help. Every command accepts
+# exactly these; argparse rejects any other with exit code 2.
+READS = {
+    "simulate": {"--config", "--out"},
+    "design": {"--config", "--out", "--seed", "--rtol"},
+    "filter": {"--config", "--out", "--panels", "--dataset"},
+    "identify": {"--config", "--out", "--rtol"},
+    "verify": {"--config", "--out", "--seed", "--rtol", "--panels", "--filtered"},
+    "demo-aircraft": set(),
+    "filters plot-data": {"--config", "--out", "--family", "--rho", "--T", "--M", "--N",
+                          "--points"},
+}
+SHARED = {"--config": "c.json", "--out": "o", "--seed": "1", "--rtol": "1e-8", "--panels": "4"}
+
+
+def _argv(command: str) -> list[str]:
+    return command.split() + (["fd.json"] if command == "identify" else [])
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c, reads in READS.items() for f in SHARED if f not in reads],
+    )
+    def test_unread_flag_exits_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*_argv(command), flag, SHARED[flag]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", READS)
+    def test_help_lists_exactly_the_flags_read(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*_argv(command), "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--\w+", capsys.readouterr().out)) - {"--help"}
+        assert listed == READS[command]
