@@ -35,8 +35,9 @@ import numpy as np
 from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import NumericalError, ValidationError
 from .filters import Decomposition, FilterBank, build_F_bar
-from .linalg import expm
+from .linalg import _frobenius, expm
 from .ltisim import (
+    DiscreteSystem,
     LtiSystem,
     PiecewiseConstantInput,
     SampledDataset,
@@ -115,10 +116,23 @@ def _interval_moments(
     H_k = int_0^1 e^{M T s} (1 - s)^k / k! ds for k = 0..4. These are exact
     up to rounding, so coarse is fine. bump_test has no closed form: fine and
     coarse are composite Gauss-Legendre at 2 * quad_panels and quad_panels.
+
+    Built once per (family, rho, quad_panels, quad_nodes) and kept, as
+    read-only arrays, on the one propagator of (A, B, T), ltisim.discretize.
     """
-    n, p = sys.n, sys.n + sys.m
+    prop = discretize(sys, bank.T)
+    key = (bank.family, bank.rho, config.quad_panels, config.quad_nodes)
+    if key not in prop._moments:
+        moments = prop._moments[key] = _build_moments(prop, bank, config)
+        for g_x, gd_x, _ in moments:
+            g_x.setflags(write=False)
+            gd_x.setflags(write=False)
+    return prop._moments[key]
+
+
+def _build_moments(prop: DiscreteSystem, bank: FilterBank, config: NumericConfig):
+    n, p = prop.n, prop.aug.shape[0]
     rho, T = bank.rho, bank.T
-    prop = discretize(sys, T)
     if bank.family == "bump_test":
 
         def quadrature(panels: int):
@@ -249,10 +263,10 @@ def factorization_residual(
     """Relative Frobenius residual of [x_f; u_f] = C_bar [chi; mu] F_bar."""
     lhs = fd.stacked()
     rhs = rel.c_bar @ sd.stacked() @ rel.f_bar
-    denom = max(np.linalg.norm(lhs), 1e-300)
-    return float(np.linalg.norm(lhs - rhs) / denom)
+    denom = max(_frobenius(lhs), 1e-300)
+    return float(_frobenius(lhs - rhs) / denom)
 
 
 def verify_algebraic(fd: FilteredDataset, sys: LtiSystem) -> float:
     """Frobenius norm of x_df - A x_f - B u_f (zero for exact data)."""
-    return float(np.linalg.norm(fd.x_df - sys.a @ fd.x_f - sys.b @ fd.u_f))
+    return _frobenius(fd.x_df - sys.a @ fd.x_f - sys.b @ fd.u_f)

@@ -1,6 +1,6 @@
 """Dense linear-algebra kernel on numpy alone: SVD rank, pseudo-inverse,
-kernel bases, a batched matrix exponential and Frobenius distances, all with
-explicit tolerances.
+kernel bases, a batched matrix exponential and Frobenius norms scaled so their
+squares cannot underflow or overflow, all with explicit tolerances.
 
 Everything downstream (simulation, filtering, design, identification) goes
 through these wrappers so a single tolerance convention applies everywhere:
@@ -171,8 +171,21 @@ def expm(a) -> np.ndarray:
     return out.reshape(m.shape)
 
 
+def _frobenius(m) -> float:
+    """Frobenius norm of M computed on M / 2^e, with 2^e from np.frexp of the
+    largest entry, so the squared entries neither underflow nor overflow.
+    Scaling by a power of two is exact: where np.linalg.norm's squares stay
+    in range the result is bit-identical to it."""
+    a = np.asarray(m, dtype=float)
+    peak = float(np.max(np.abs(a), initial=0.0))
+    if not 0.0 < peak < np.inf:
+        return float(np.linalg.norm(a))
+    e = int(np.frexp(peak)[1])
+    return math.ldexp(float(np.linalg.norm(np.ldexp(a, -e))), e)
+
+
 def frobenius_distance(m1, m2) -> float:
     a, b = np.asarray(m1, dtype=float), np.asarray(m2, dtype=float)
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return _frobenius(a - b)

@@ -6,20 +6,22 @@ States under a piecewise-constant input evolve exactly as
     x(kT + tau) = e^{A tau} chi_k + (int_0^tau e^{A s} ds) B mu_k,
 
 the top n rows of e^{M tau}, M = [[A, B], [0, 0]], applied to [chi_k; mu_k].
-discretize(sys, T) returns the one DiscreteSystem per system and T that
-evaluates this map: the sampled step (A_T, B_T), the map at any offsets and
-at Gauss-Legendre nodes. Simulation, design, filtering and verification all
-go through it, never through approximate ODE integration (the RK4
-cross-check lives in ctsid.oracles).
+discretize(sys, T) returns the one DiscreteSystem per value of (A, B, T)
+that evaluates this map: the sampled step (A_T, B_T), the map at any
+offsets and at Gauss-Legendre nodes. Simulation, design, filtering and
+verification all go through it, never through approximate ODE integration
+(the RK4 cross-check lives in ctsid.oracles).
 
 What a job would repeat is memoized as read-only arrays: the propagator per
-system and T, the sampled trajectory per (system, input) and the
-Gauss-Legendre rule per node count.
+value of (A, B, T), in a module-level LRU of _PROPAGATORS_KEPT entries, so
+every LtiSystem of one plant shares it; the sampled trajectory per (system,
+input); and the Gauss-Legendre rule per node count.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +33,12 @@ from .linalg import expm
 @dataclass(frozen=True)
 class LtiSystem:
     """Ground-truth continuous-time plant dx/dt = A x + B u, x(0) = x0, with
-    read-only copies of a, b and x0, so the propagators memoized on it hold."""
+    read-only float64 copies of a, b and x0: equal bytes of a and b mean the
+    same plant, which is what discretize keys its memo on."""
 
     a: np.ndarray
     b: np.ndarray
     x0: np.ndarray
-    _propagators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.array(self.a, dtype=float))
@@ -114,9 +116,10 @@ class DiscreteSystem:
     aug is M = [[A, B], [0, 0]] and n the state dimension. a_t = e^{AT} and
     b_t = int_0^T e^{At} B dt give the sampled step
     chi_{k+1} = A_T chi_k + B_T mu_k; at and nodes give the top n rows of
-    e^{M tau} inside an interval. discretize shares one instance per system
-    and T, so every array it keeps is read-only. It holds no reference to
-    the system, which would make a reference cycle through the memo.
+    e^{M tau} inside an interval. discretize shares one instance per value
+    of (A, B, T), so every array it keeps is read-only. It holds no reference
+    to a system, so the memo keeps no system alive. _moments holds the filter
+    moments of ctsid.filtering, per (family, rho, quad_panels, quad_nodes).
     """
 
     aug: np.ndarray
@@ -125,6 +128,7 @@ class DiscreteSystem:
     a_t: np.ndarray
     b_t: np.ndarray
     _nodes: dict = field(default_factory=dict, init=False, repr=False)
+    _moments: dict = field(default_factory=dict, init=False, repr=False)
 
     def at(self, offsets) -> np.ndarray:
         """Top n rows of e^{M tau} per offset, shape (len(offsets), n, n + m).
@@ -257,19 +261,30 @@ def transition(sys: LtiSystem, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return e[:n, :n], e[:n, n:]
 
 
+_PROPAGATORS_KEPT = 8
+_propagators: dict = {}  # key -> DiscreteSystem, least recently used first
+_propagators_lock = threading.Lock()  # lookup, build and eviction as one step
+
+
 def discretize(sys: LtiSystem, T: float) -> DiscreteSystem:
     """The exact ZOH propagator of sys at period T: A_T = e^{AT},
-    B_T = int_0^T e^{At} B dt. Built once per system and T, then memoized
-    on the system."""
+    B_T = int_0^T e^{At} B dt. Built once per value of (A, B, T): the key
+    is the shapes and bytes of a and b and T, so every system of one plant
+    shares it, whatever its x0. The last _PROPAGATORS_KEPT are kept."""
     if T <= 0:
         raise ValidationError("T must be positive")
-    prop = sys._propagators.get(T)
-    if prop is None:
-        a_t, b_t = transition(sys, T)
-        aug = _augmented(sys)
-        for arr in (aug, a_t, b_t):
-            arr.setflags(write=False)
-        prop = sys._propagators[T] = DiscreteSystem(aug=aug, n=sys.n, T=T, a_t=a_t, b_t=b_t)
+    key = (sys.a.shape, sys.b.shape, sys.a.tobytes(), sys.b.tobytes(), T)
+    with _propagators_lock:
+        prop = _propagators.pop(key, None)
+        if prop is None:
+            a_t, b_t = transition(sys, T)
+            aug = _augmented(sys)
+            for arr in (aug, a_t, b_t):
+                arr.setflags(write=False)
+            prop = DiscreteSystem(aug=aug, n=sys.n, T=T, a_t=a_t, b_t=b_t)
+            if len(_propagators) >= _PROPAGATORS_KEPT:
+                del _propagators[next(iter(_propagators))]
+        _propagators[key] = prop
     return prop
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .filtering import FilteredDataset
-from .linalg import RankReport, _rank_pinv, frobenius_distance
+from .linalg import RankReport, _frobenius, _rank_pinv, frobenius_distance
 from .ltisim import LtiSystem, SampledDataset
 
 
@@ -48,7 +48,7 @@ def identify(
     report, s_pinv = _rank_pinv(fd.stacked(), rtol)
     ab = fd.x_df @ s_pinv
     a_hat, b_hat = ab[:, :n], ab[:, n:]
-    residual = float(np.linalg.norm(fd.x_df - a_hat @ fd.x_f - b_hat @ fd.u_f))
+    residual = _frobenius(fd.x_df - a_hat @ fd.x_f - b_hat @ fd.u_f)
     err = None
     if truth is not None:
         err = frobenius_distance(np.hstack([truth.a, truth.b]), ab)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ctsid.ltisim as ltisim
 from ctsid import (
     LtiSystem,
     PiecewiseConstantInput,
@@ -9,6 +10,14 @@ from ctsid import (
     discretize,
     simulate_sampled,
 )
+
+
+@pytest.fixture(autouse=True)
+def cold_propagator_memo():
+    """Each test starts with no propagator memoized: discretize keeps them per
+    (A, B, T) across systems, so counts of exponentials, rule builds and
+    transitions would otherwise depend on the tests run before."""
+    ltisim._propagators.clear()
 
 
 @pytest.fixture(scope="session")

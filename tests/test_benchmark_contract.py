@@ -40,6 +40,9 @@ def test_traced_job_matches_untraced():
     wl = workloads.WORKLOADS["aircraft"]
     plain = workloads.run_job(wl, wl.inputs(SEED, 0), [])
     inp = wl.inputs(SEED, 0)
+    # the plain job left the plant's propagator memoized; a cold memo makes
+    # the traced job build it, through transition(sys, tau)
+    ctsid.ltisim._propagators.clear()
     tracer = Tracer(ctsid)
     tracer.install()
     try:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -429,35 +431,88 @@ def count_expm(monkeypatch) -> list:
     return calls
 
 
+class TestScaledResiduals:
+    """The residuals on the aircraft reference input with x0 and the levels
+    scaled by 2^k. np.linalg.norm squared the entries: every residual read
+    exactly 0 at k = -500 (the squares underflow), and the factorization
+    residual read 0 at k = 540 (the denominator overflows). The absolute
+    residuals are compared over 2^k."""
+
+    @staticmethod
+    def residuals(family, k):
+        sys_ = LtiSystem(a=aircraft.A, b=aircraft.B, x0=np.ldexp(aircraft.X0, k))
+        inp = PiecewiseConstantInput(T=T, levels=np.ldexp(aircraft.reference_input().levels, k))
+        bank = bank_of(family)
+        fd = filter_lti_dataset(sys_, inp, bank)
+        res = identify(fd, 4, 2, truth=sys_)
+        rel = build_relation_matrices(sys_, decompose(bank))
+        sd = simulate_sampled(sys_, inp)
+        assert res.informative and res.frobenius_error <= 1e-11
+        return fd, res, rel, sd, (
+            math.ldexp(res.residual, -k),
+            math.ldexp(verify_algebraic(fd, sys_), -k),
+            factorization_residual(fd, sd, rel),
+        )
+
+    @pytest.mark.parametrize("k", (-500, 540))
+    @pytest.mark.parametrize("family", ("poly_test", "lowpass", "bump_test"))
+    def test_nonzero_and_finite_at_extreme_scales(self, family, k):
+        *_, scaled = self.residuals(family, k)
+        for r in scaled:
+            assert 0.0 < r <= 1e-10  # rounding level, as at k = 0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_unscaled_residuals_equal_the_numpy_norm(self, family):
+        fd, res, rel, sd, got = self.residuals(family, 0)
+        sys_ = aircraft.system()
+        lhs = fd.stacked()
+        assert got == (
+            float(np.linalg.norm(fd.x_df - res.a_hat @ fd.x_f - res.b_hat @ fd.u_f)),
+            float(np.linalg.norm(fd.x_df - sys_.a @ fd.x_f - sys_.b @ fd.u_f)),
+            float(np.linalg.norm(lhs - rel.c_bar @ sd.stacked() @ rel.f_bar) / np.linalg.norm(lhs)),
+        )
+        ab = np.hstack([sys_.a, sys_.b])
+        assert res.frobenius_error == float(np.linalg.norm(ab - res.ab_hat))
+
+
 class TestPropagatorMemo:
-    """discretize shares one propagator per system and T, with its nodes.
+    """discretize shares one propagator per value of (A, B, T), with its
+    nodes and filter moments.
 
     A shared cache keyed on (panels, nodes) alone once handed one system's
     propagators to another and reported the wrong model as informative.
     """
 
     def test_interleaved_systems_and_periods_match_fresh_systems(self):
+        # three plants at two periods and two quadrature settings, each
+        # interleaved with the others, against a cold memo per run
         rng = np.random.default_rng(31)
-        s1 = random_controllable_system(rng, n=4, m=2, T=T)
-        s2 = random_controllable_system(rng, n=4, m=2, T=T)
-        s3 = random_controllable_system(rng, n=4, m=2, T=2 * T)
-        levels = {p: rng.uniform(-1, 1, size=(2, 6)) for p in (T, 2 * T)}
+        plants = [random_controllable_system(rng, n=4, m=2, T=T) for _ in range(3)]
+        levels = rng.uniform(-1, 1, size=(2, 6))
+        configs = (NumericConfig(), NumericConfig(quad_panels=6, quad_nodes=12))
 
-        def run(sys_, period):
-            inp = PiecewiseConstantInput(T=period, levels=levels[period])
+        def run(sys_, period, config):
+            inp = PiecewiseConstantInput(T=period, levels=levels)
             bank = make_filter_bank("bump_test", 2.0, period, 6, 6)
-            fd = filter_lti_dataset(sys_, inp, bank)
-            rel = build_relation_matrices(sys_, decompose(bank))
+            fd = filter_lti_dataset(sys_, inp, bank, config)
+            rel = build_relation_matrices(sys_, decompose(bank), config)
             # another system's propagators would give a wrong model or residual
             assert identify(fd, 4, 2, truth=sys_).frobenius_error <= 1e-6
             assert factorization_residual(fd, simulate_sampled(sys_, inp), rel) <= 1e-10
-            return fd.x_f, fd.u_f, fd.x_df, rel.a_bar, rel.b_bar, rel.g_bar
+            report = fd.quadrature_report.values()
+            return fd.x_f, fd.u_f, fd.x_df, *report, rel.a_bar, rel.b_bar, rel.g_bar
 
-        order = [(s1, T), (s2, T), (s3, T), (s3, 2 * T), (s1, T), (s3, 2 * T), (s2, T), (s3, T)]
-        for sys_, period in order:
-            fresh = LtiSystem(a=sys_.a, b=sys_.b, x0=sys_.x0)
-            for got, ref in zip(run(sys_, period), run(fresh, period)):
-                assert np.array_equal(got, ref), period
+        order = [(i, period, c) for c in (0, 1) for period in (T, 2 * T) for i in range(3)]
+        order = order[::2] + order[1::2]  # plants, periods and configs alternate
+        cold = {}
+        for i, period, c in order:
+            ctsid.ltisim._propagators.clear()
+            cold[i, period, c] = run(plants[i], period, configs[c])
+        ctsid.ltisim._propagators.clear()
+        for i, period, c in order + order[::-1]:
+            fresh = LtiSystem(a=plants[i].a, b=plants[i].b, x0=plants[i].x0)
+            for got, ref in zip(run(fresh, period, configs[c]), cold[i, period, c]):
+                assert np.array_equal(got, ref), (i, period, c)
 
     def test_second_relation_build_makes_no_expm_call(self, monkeypatch):
         calls = count_expm(monkeypatch)
@@ -467,3 +522,59 @@ class TestPropagatorMemo:
         assert first > 0
         build_relation_matrices(sys_, decompose(bank_of("poly_test")))
         assert len(calls) == first
+
+    @pytest.mark.parametrize("moved", ("A", "B", "T"))
+    def test_one_ulp_apart_gets_its_own_propagator(self, moved):
+        a, b, period = aircraft.A.copy(), aircraft.B.copy(), T
+        if moved == "A":
+            a[1, 2] = np.nextafter(a[1, 2], np.inf)
+        elif moved == "B":
+            b[3, 0] = np.nextafter(b[3, 0], np.inf)
+        else:
+            period = np.nextafter(T, np.inf)
+        runs = ((aircraft.system(), T), (LtiSystem(a=a, b=b, x0=aircraft.X0), period))
+        levels = aircraft.reference_input().levels
+
+        def run(sys_, p):
+            bank = make_filter_bank("bump_test", 2.0, p, 6, 6)
+            fd = filter_lti_dataset(sys_, PiecewiseConstantInput(T=p, levels=levels), bank)
+            assert identify(fd, 4, 2, truth=sys_).frobenius_error <= 1e-10
+            return fd.x_f, fd.u_f, fd.x_df
+
+        cold = []
+        for sys_, p in runs:
+            ctsid.ltisim._propagators.clear()
+            cold.append(run(sys_, p))
+        ctsid.ltisim._propagators.clear()
+        assert discretize(*runs[0]) is not discretize(*runs[1])
+        for (sys_, p), ref in zip(runs + runs, cold + cold):
+            assert all(np.array_equal(got, r) for got, r in zip(run(sys_, p), ref)), moved
+
+    def test_each_family_and_rho_gets_its_own_moments(self):
+        sys_ = aircraft.system()
+        banks = [make_filter_bank(f, rho, T, 6, 6) for rho in (1.0, 2.0) for f in FAMILIES]
+        cold = []
+        for bank in banks:
+            ctsid.ltisim._propagators.clear()
+            cold.append(_interval_moments(sys_, bank))
+        ctsid.ltisim._propagators.clear()
+        for bank, ref in zip(banks + banks, cold + cold):
+            for got, r in zip(_interval_moments(sys_, bank), ref):
+                assert all(np.array_equal(g, x) for g, x in zip(got, r)), bank
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_moments_are_built_once_and_read_only(self, family, monkeypatch):
+        sys_ = aircraft.system()
+        bank = bank_of(family)
+        first = _interval_moments(sys_, bank)
+        calls = count_expm(monkeypatch)
+        assert _interval_moments(aircraft.system(), bank) is first
+        assert calls == []
+        # every quadrature setting has its own entry, also where it is unused
+        others = {id(_interval_moments(sys_, bank, NumericConfig(**kw)))
+                  for kw in ({"quad_nodes": 8}, {"quad_panels": 4})}
+        assert id(first) not in others and len(others) == 2
+        for g_x, gd_x, _ in first:
+            for arr in (g_x, gd_x):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1.0

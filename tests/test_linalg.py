@@ -282,6 +282,19 @@ class TestFrobeniusDistance:
         with pytest.raises(ValidationError):
             frobenius_distance(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("k", (-600, -530, 0, 540, 1000))
+    def test_scaled_by_a_power_of_two_exactly(self, k):
+        # np.linalg.norm squares the entries: below about 2^-511 the squares
+        # are subnormal or 0, above about 2^512 they overflow to inf
+        m = np.random.default_rng(4).standard_normal((4, 6))
+        d = frobenius_distance(np.ldexp(m, k), np.zeros_like(m))
+        assert d == math.ldexp(float(np.linalg.norm(m)), k)
+
+    def test_inf_and_nan_pass_through(self):
+        z = np.zeros((2, 2))
+        assert frobenius_distance(np.full((2, 2), np.inf), z) == np.inf
+        assert np.isnan(frobenius_distance(np.array([[np.nan, 1.0]]), np.zeros((1, 2))))
+
 
 def _intersection_dim(ker_basis: np.ndarray, im_basis: np.ndarray) -> int:
     # dim(span K cap span R) = dim K + dim R - rank([K R]), by brute force SVD

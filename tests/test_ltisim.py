@@ -1,9 +1,12 @@
+import threading
+import time
 import weakref
 
 import numpy as np
 import pytest
 
 import ctsid.aircraft as aircraft
+import ctsid.ltisim as ltisim
 from ctsid import (
     LtiSystem,
     PiecewiseConstantInput,
@@ -88,7 +91,54 @@ class TestDiscretize:
         d = discretize(sys_, 0.5)
         assert discretize(sys_, 0.5) is d
         assert discretize(sys_, 1.0) is not d
-        assert discretize(scalar_system(), 0.5) is not d
+        assert discretize(scalar_system(), 0.5) is d
+        assert discretize(scalar_system(x0=3.0), 0.5) is d
+        assert discretize(scalar_system(b=np.nextafter(1.0, 2.0)), 0.5) is not d
+
+    def test_least_recently_used_plant_is_evicted(self):
+        kept = ltisim._PROPAGATORS_KEPT
+        plants = [scalar_system(a=-float(i)) for i in range(kept + 2)]
+        first = [discretize(p, 0.5) for p in plants[:kept]]
+        assert all(discretize(p, 0.5) is d for p, d in zip(plants, first))
+        discretize(plants[kept], 0.5)  # one past the bound evicts plants[0]
+        assert discretize(plants[1], 0.5) is first[1]  # now the latest used
+        fresh = discretize(plants[0], 0.5)  # evicts plants[2]
+        assert fresh is not first[0]
+        assert np.array_equal(fresh.a_t, first[0].a_t)
+        assert discretize(plants[1], 0.5) is first[1]
+        assert discretize(plants[2], 0.5) is not first[2]
+        assert len(ltisim._propagators) == kept
+
+    def test_threads_update_the_memo_one_at_a_time(self, monkeypatch):
+        # unlocked, threads evicting from the full memo at once raised
+        # KeyError or "dictionary changed size during iteration"; here four
+        # threads each build a plant, and no two builds may overlap
+        plants = [scalar_system(a=-0.1 * i) for i in range(ltisim._PROPAGATORS_KEPT + 4)]
+        for p in plants[:-4]:
+            discretize(p, 0.5)
+        count = threading.Lock()
+        inside, peak = [0], [0]
+        transition = ltisim.transition
+
+        def slow(sys_, tau):
+            with count:
+                inside[0] += 1
+                peak[0] = max(peak[0], inside[0])
+            time.sleep(0.01)
+            with count:
+                inside[0] -= 1
+            return transition(sys_, tau)
+
+        monkeypatch.setattr(ltisim, "transition", slow)
+        threads = [threading.Thread(target=discretize, args=(p, 0.5)) for p in plants[-4:]]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert peak[0] == 1
+        # the four oldest plants were evicted, one by each thread
+        assert {key[2] for key in ltisim._propagators} == {p.a.tobytes() for p in plants[4:]}
 
     def test_shared_arrays_are_read_only(self, aircraft_system):
         d = discretize(aircraft_system, aircraft.T)

@@ -5,14 +5,20 @@ horizon-shaped pipeline (simulate, then filter and identify with all four
 families) runs the ZOH recurrence once, builds the Gauss-Legendre rule at
 most once per node count, each identify or identify_discrete takes
 exactly one SVD, and an online design takes one SVD per step: n + m - 1
-of K_u and the final rank verdict.
+of K_u and the final rank verdict. Once a plant's propagator is memoized,
+the benchmark's horizon job on it takes no matrix exponential and its
+aircraft job one (the random intersample offsets).
 """
 
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 import ctsid.aircraft as aircraft
+import ctsid.filtering as filtering
+import ctsid.linalg as linalg
 import ctsid.ltisim as ltisim
 from ctsid import (
     LtiSystem,
@@ -28,6 +34,9 @@ from ctsid import (
 )
 from ctsid.filters import FAMILIES
 from conftest import controllable_by_construction
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 N = 32
 RHO = {"poly_test": aircraft.POLY_TEST_RHO, "bump_test": 2.0, "laguerre": 1.0, "lowpass": 1.0}
@@ -102,3 +111,26 @@ def test_online_design_takes_one_svd_per_step(monkeypatch):
         res = run_online_design(plant, n, m, T)
         assert res.rank_report.rank == n + m
         assert svds[None] == n + m
+
+
+def test_warm_jobs_take_no_exponential_of_the_plant(monkeypatch):
+    # a propagator memoized per system object made each horizon job take 6
+    # exponentials and each aircraft job 7, all of one (A, B, T), because
+    # each job builds a new system
+    expms = Counter()
+    expm = counting(linalg.expm, expms)
+    for mod in (linalg, ltisim, filtering):
+        monkeypatch.setattr(mod, "expm", expm)
+    counts = {}
+    for name in ("horizon", "aircraft"):
+        wl = workloads.WORKLOADS[name]
+        counts[name] = []
+        for index in range(3):
+            expms.clear()
+            outcome, _, detail = workloads.run_job(wl, wl.inputs(5, index), [])
+            assert outcome == "ok", detail
+            counts[name].append(expms[None])
+    cold = counts["horizon"][0]
+    assert cold > 0  # the first job builds the plant's propagator and moments
+    # an aircraft job's one exponential is of its random intersample offsets
+    assert counts == {"horizon": [cold, 0, 0], "aircraft": [1, 1, 1]}
