@@ -9,7 +9,7 @@ Run:  python3 demos/01_simulate_and_sample.py
 
 import numpy as np
 
-from ctsid import aircraft, dense_trajectory, discretize, simulate_sampled
+from ctsid import Trajectory, aircraft, discretize, simulate_sampled, state_at
 from ctsid.oracles import rk4_oracle
 
 np.set_printoptions(precision=4, suppress=True)
@@ -35,7 +35,7 @@ print(sd.chi_all)
 
 # Between sampling instants the state is still available in closed form.
 grid = np.linspace(0.0, inp.horizon, 13, endpoint=False)
-traj = dense_trajectory(sys_, inp, grid)
+traj = Trajectory(times=grid, states=state_at(sys_, inp, grid))
 print("\nDense trajectory on a 13-point grid (first state component):")
 for t, v in zip(traj.times, traj.states[0]):
     print(f"  x1({t:.3f}) = {v: .4f}")

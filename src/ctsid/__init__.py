@@ -50,7 +50,6 @@ from .ltisim import (
     SampledDataset,
     Trajectory,
     check_nonpathological,
-    dense_trajectory,
     discretize,
     simulate_sampled,
     state_at,
@@ -84,7 +83,6 @@ __all__ = [
     "build_relation_matrices",
     "check_nonpathological",
     "decompose",
-    "dense_trajectory",
     "discretize",
     "eval_g",
     "factorization_residual",

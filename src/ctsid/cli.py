@@ -43,9 +43,10 @@ from .linalg import svd_rank
 from .ltisim import (
     LtiSystem,
     PiecewiseConstantInput,
+    Trajectory,
     check_nonpathological,
-    dense_trajectory,
     simulate_sampled,
+    state_at,
 )
 from .serialize import (
     design_result_to_dict,
@@ -84,13 +85,14 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _numeric(cfg: dict) -> NumericConfig:
+def _numeric(cfg: dict) -> tuple[NumericConfig, float]:
+    """The quadrature settings and numeric.rank_rtol, the rtol= of every rank verdict."""
     num = cfg.get("numeric", {})
     try:
-        return NumericConfig(
-            rank_rtol=float(num.get("rank_rtol", 1e-8)),
-            quad_panels=int(num.get("quad_panels", 8)),
-        )
+        rtol = float(num.get("rank_rtol", 1e-8))
+        if not rtol > 0:
+            raise ValueError("rank_rtol must be positive")
+        return NumericConfig(quad_panels=int(num.get("quad_panels", 8))), rtol
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -158,7 +160,8 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     write_json(out / "sampled_dataset.json", sampled_dataset_to_dict(sd))
     grid = np.linspace(0.0, inp.horizon, 20 * inp.N, endpoint=False)
-    trajectory_to_csv(out / "trajectory.csv", dense_trajectory(sys_, inp, grid))
+    trajectory_to_csv(out / "trajectory.csv",
+                      Trajectory(times=grid, states=state_at(sys_, inp, grid)))
     print(f"wrote {out / 'sampled_dataset.json'} and {out / 'trajectory.csv'}")
     return 0
 
@@ -166,7 +169,7 @@ def cmd_simulate(args) -> int:
 def cmd_design(args) -> int:
     cfg = _load_config(args)
     sys_, T = _system(cfg)
-    num = _numeric(cfg)
+    _, rtol = _numeric(cfg)
     ok, offending = check_nonpathological(sys_, T)
     if not ok:
         raise DesignFailureError(
@@ -176,7 +179,7 @@ def cmd_design(args) -> int:
         )
     plant = SimulatedPlant(sys_, T)
     result = run_online_design(
-        plant, sys_.n, sys_.m, T, policy=_policy(cfg, sys_.m), rtol=num.rank_rtol
+        plant, sys_.n, sys_.m, T, policy=_policy(cfg, sys_.m), rtol=rtol
     )
     out = _outdir(args)
     write_json(out / "design_result.json", design_result_to_dict(result))
@@ -190,7 +193,7 @@ def cmd_design(args) -> int:
 def cmd_filter(args) -> int:
     cfg = _load_config(args)
     sys_, T = _system(cfg)
-    num = _numeric(cfg)
+    num, _ = _numeric(cfg)
     if args.dataset:
         sd = sampled_dataset_from_dict(read_json(args.dataset))
         inp = PiecewiseConstantInput(T=sd.T, levels=sd.mu)
@@ -211,8 +214,7 @@ def cmd_identify(args) -> int:
     n, m = fd.x_f.shape[0], fd.u_f.shape[0]
     if cfg.get("system"):
         truth, _ = _system(cfg)
-    num = _numeric(cfg)
-    result = identify(fd, n, m, rtol=num.rank_rtol, truth=truth)
+    result = identify(fd, n, m, rtol=_numeric(cfg)[1], truth=truth)
     out = _outdir(args)
     write_json(out / "identification.json", identification_result_to_dict(result))
     print(f"rank {result.stacked_rank.rank} of {n + m} "
@@ -249,7 +251,7 @@ def _report(rows: list[tuple[str, bool, str]]) -> None:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     sys_, T = _system(cfg)
-    num = _numeric(cfg)
+    num, rtol = _numeric(cfg)
     inp = _input(cfg, T)
     bank = _bank(cfg, T, inp.N, sys_.n, sys_.m)
     rel = build_relation_matrices(sys_, decompose(bank, inp.N), num)
@@ -269,13 +271,13 @@ def cmd_verify(args) -> int:
         _relative_row("factorization", s_filtered, "[x_f; u_f]",
                       lambda _: factorization_residual(fd, sd, rel)),
     ]
-    ladder = [tuple(svd_rank(s[:, :k], num.rank_rtol).rank for s in (s_sampled, s_filtered))
+    ladder = [tuple(svd_rank(s[:, :k], rtol).rank for s in (s_sampled, s_filtered))
               for k in range(1, min(inp.N, bank.M) + 1)]
     rows.append(("rank-ladder", all(r_s == r_f for r_s, r_f in ladder),
                  " ".join(f"k={k}:{r_s}/{r_f}" for k, (r_s, r_f) in enumerate(ladder, 1))))
     rng = np.random.default_rng(cfg.get("design", {}).get("seed", 0))
-    ranks = verify_intersample(sys_, inp, rng.uniform(0.0, T, size=10), num.rank_rtol)
-    target = svd_rank(s_sampled, num.rank_rtol).rank
+    ranks = verify_intersample(sys_, inp, rng.uniform(0.0, T, size=10), rtol)
+    target = svd_rank(s_sampled, rtol).rank
     rows.append(("intersample-rank", all(r.rank == target for _, r in ranks),
                  f"rank {target} at {len(ranks)} offsets"))
     if target == 0:  # every rank reads 0 on data that excite nothing

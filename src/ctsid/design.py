@@ -20,8 +20,9 @@ steps [chi; mu] has full rank n + m.
 
 Also provides the block-Hankel persistency-of-excitation test (the offline
 alternative, which needs at least n + m + n*m samples) and the intersample
-rank verification. The simulated plant and the intersample check evaluate
-the state through the system's one exact propagator (ltisim.discretize).
+rank verification. A plant needs only reset() and apply(), which return
+the state at each sampling instant; intersample states come from the one
+exact propagator (ltisim.discretize) in state_at and verify_intersample.
 """
 
 from __future__ import annotations
@@ -82,49 +83,35 @@ class SimulatedPlant:
 
     def reset(self, x0=None) -> np.ndarray:
         self._state = self.sys.x0.copy() if x0 is None else np.asarray(x0, float).copy()
-        self._starts: list[np.ndarray] = []  # [chi_k; mu_k] per completed interval
         return self._state.copy()
 
     def apply(self, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float).reshape(-1)
         if mu.shape[0] != self.m or self._state.shape != (self.n,):
             raise ValidationError("dimension mismatch in apply")
-        self._starts.append(np.concatenate([self._state, mu]))
         self._state = self._prop.a_t @ self._state + self._prop.b_t @ mu
         return self._state.copy()
-
-    def probe(self, t: float, interval: int | None = None) -> np.ndarray:
-        """State at t + kT inside a completed interval (default: the latest)."""
-        if not self._starts:
-            raise ValidationError("no interval completed yet")
-        if not 0 <= t < self.T:
-            raise ValidationError("probe offset must lie in [0, T)")
-        k = len(self._starts) - 1 if interval is None else interval
-        if not 0 <= k < len(self._starts):
-            raise ValidationError(f"interval {k} not completed")
-        return self._prop.at(t)[0] @ self._starts[k]
 
 
 class ReplayPlant:
     """Plant that replays a recorded dataset for offline verification.
 
-    apply() checks that the requested input matches the recording; a
-    designer run against it must have produced (or must reproduce) the
-    recorded input sequence.
+    reset() and apply() check the requested x0 and input against the
+    recording (np.allclose, atol 1e-9); a designer run against it must have
+    produced (or must reproduce) the recorded input sequence.
     """
 
-    def __init__(self, dataset: SampledDataset, atol: float = 1e-9):
+    def __init__(self, dataset: SampledDataset):
         if dataset.chi_final is None:
             raise ValidationError("replay needs the final state in the recording")
         self.dataset = dataset
-        self.atol = atol
         self.T = dataset.T
         self.n = dataset.chi.shape[0]
         self.m = dataset.mu.shape[0]
         self._k = 0
 
     def reset(self, x0=None) -> np.ndarray:
-        if x0 is not None and not np.allclose(x0, self.dataset.chi[:, 0], atol=self.atol):
+        if x0 is not None and not np.allclose(x0, self.dataset.chi[:, 0], atol=1e-9):
             raise ValidationError("recorded initial state differs from requested x0")
         self._k = 0
         return self.dataset.chi[:, 0].copy()
@@ -133,15 +120,12 @@ class ReplayPlant:
         if self._k >= self.dataset.N:
             raise ValidationError("recording exhausted")
         mu = np.asarray(mu, dtype=float).reshape(-1)
-        if not np.allclose(mu, self.dataset.mu[:, self._k], atol=self.atol):
+        if not np.allclose(mu, self.dataset.mu[:, self._k], atol=1e-9):
             raise ValidationError(
                 f"input at step {self._k} deviates from the recording"
             )
         self._k += 1
         return self.dataset.chi_all[:, self._k].copy()
-
-    def probe(self, t: float, interval: int | None = None) -> np.ndarray:
-        raise ValidationError("replay recordings hold sampled data only")
 
 
 def hankel(mu, depth: int) -> np.ndarray:

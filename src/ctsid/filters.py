@@ -153,11 +153,9 @@ class FilterBank:
         inside = (j >= 0) & (d >= lo) & (d <= hi)
         return np.where(inside, self._spec.c(self.rho, self.T, np.where(inside, d, 0)), 0.0)
 
-    def _lag_matrix(self, N: int | None = None, M: int | None = None) -> np.ndarray:
+    def _lag_matrix(self) -> np.ndarray:
         """N x M matrix c(j - l + 1) of the spec's split, j = 0..N-1, l = 1..M."""
-        N = self.N if N is None else N
-        M = self.M if M is None else M
-        return self._coef(np.arange(1, M + 1), np.arange(N)[:, None])
+        return self._coef(np.arange(1, self.M + 1), np.arange(self.N)[:, None])
 
     def _require_n_ge_m(self, N: int) -> None:
         if N < self.M:
@@ -252,6 +250,6 @@ def decompose(bank: FilterBank, N: int | None = None) -> Decomposition:
     return Decomposition(bank=bank)
 
 
-def build_F_bar(decomp: Decomposition, N: int | None = None, M: int | None = None) -> np.ndarray:
+def build_F_bar(decomp: Decomposition) -> np.ndarray:
     """N x M matrix with entry (j, l) = f_l(jT), j = 0..N-1, l = 1..M."""
-    return decomp.bank._lag_matrix(N, M) / decomp._scale
+    return decomp.bank._lag_matrix() / decomp._scale

@@ -45,17 +45,26 @@ def _rank_svd(m, rtol: float):
     """(u, s, vh, tol, rank) of a (p, q) matrix, or per matrix of a (k, p, q)
     stack, from one SVD: tol = rtol * s_max * max(p, q), rank = #{s > tol}.
 
+    Far from unit scale (largest |entry| outside [2^-100, 2^100]) the SVD
+    is of M / 2^e, e the frexp exponent of that entry, with s scaled back:
+    exact where LAPACK's own rescaling is not, so svd(2^k M) gives 2^k s.
     Each slice of a batched np.linalg.svd equals the single call bit for
-    bit, so a stack gives the same verdicts as one call per matrix.
+    bit, so a stack in that range gives the same verdicts as one call each.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim not in (2, 3) or 0 in a.shape[-2:]:
         raise ValidationError("expected a nonempty 2-D array or a stack of them")
-    if not np.isfinite(a).all():
+    peak = float(np.abs(a).max(initial=0.0))
+    if not peak < math.inf:
         raise ValidationError("matrix entries must be finite")
-    if rtol <= 0:
+    if not rtol > 0:
         raise ValidationError("rtol must be positive")
-    u, s, vh = _svd(a)
+    if 2.0**-100 <= peak <= 2.0**100:
+        u, s, vh = _svd(a)
+    else:
+        e = math.frexp(peak)[1]
+        u, s, vh = _svd(np.ldexp(a, -e))
+        s = np.ldexp(s, e)
     tol = rtol * s[..., 0] * max(a.shape[-2:])
     return u, s, vh, tol, (s > tol[..., None]).sum(-1)
 

@@ -323,30 +323,18 @@ def state_at(sys: LtiSystem, inp: PiecewiseConstantInput, t) -> np.ndarray:
     return x[:, 0] if np.ndim(t) == 0 else x
 
 
-def dense_trajectory(sys: LtiSystem, inp: PiecewiseConstantInput, grid) -> Trajectory:
-    """Exact states on a strictly increasing grid inside [0, N*T)."""
-    return Trajectory(times=grid, states=state_at(sys, inp, grid))
-
-
-def check_nonpathological(
-    sys: LtiSystem,
-    T: float,
-    q_max: int = 32,
-    tol: float | None = None,
-) -> tuple[bool, list[tuple[int, int, int]]]:
+def check_nonpathological(sys: LtiSystem, T: float) -> tuple[bool, list[tuple[int, int, int]]]:
     """Test the sampling time against the eigenvalue-difference condition.
 
-    Flags eigenvalue pairs (j, l) whose difference comes within ``tol`` of a
-    nonzero integer multiple of 2*pi*i/T; such T destroy controllability of
-    the discretized pair. Returns (ok, offending (j, l, q) list). Requires
-    the ground-truth A, so this is a verification-path check only.
+    Flags eigenvalue pairs (j, l) whose difference comes within 1e-9 * 2*pi/T
+    of q * 2*pi*i/T, 1 <= |q| <= 32; such T destroy controllability of the
+    discretized pair. Returns (ok, offending (j, l, q) list). Requires the
+    ground-truth A, so this is a verification-path check only.
     """
     if T <= 0:
         raise ValidationError("T must be positive")
-    if q_max < 1:
-        raise ValidationError("q_max must be >= 1")
     base = 2.0 * np.pi / T
-    tol = 1e-9 * base if tol is None else tol
+    tol = 1e-9 * base
     lam = np.linalg.eigvals(sys.a)
     offending: list[tuple[int, int, int]] = []
     for j in range(sys.n):
@@ -354,7 +342,7 @@ def check_nonpathological(
             if j == l:
                 continue
             diff = lam[j] - lam[l]
-            for q in range(1, q_max + 1):
+            for q in range(1, 33):
                 if abs(diff - 1j * q * base) < tol or abs(diff + 1j * q * base) < tol:
                     offending.append((j, l, q))
     return (len(offending) == 0), offending

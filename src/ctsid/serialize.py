@@ -1,8 +1,8 @@
 """JSON and CSV serialization for datasets and results.
 
-Numbers are written as JSON floats (Python's shortest round-trip repr), so
-a serialize/parse cycle reproduces values bit-for-bit and identical runs
-produce byte-identical files.
+Numbers are written as JSON floats or CSV fields in Python's shortest
+round-trip repr, so read_json (or np.loadtxt for CSV) parses them back
+bit-for-bit and identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import DesignResult, KernelCertificate
+from .design import DesignResult
 from .errors import ValidationError
 from .filtering import FilteredDataset
 from .linalg import RankReport
@@ -88,28 +88,6 @@ def design_result_to_dict(res: DesignResult) -> dict:
     }
 
 
-def design_result_from_dict(d: dict) -> DesignResult:
-    rr = d["rank_report"]
-    return DesignResult(
-        dataset=sampled_dataset_from_dict(d["dataset"]),
-        branches=list(d["branches"]),
-        certificates=[
-            KernelCertificate(
-                xi=np.array(c["xi"], dtype=float),
-                eta=np.array(c["eta"], dtype=float),
-                k=int(c["k"]),
-            )
-            for c in d["certificates"]
-        ],
-        rank_report=RankReport(
-            rank=int(rr["rank"]),
-            singular_values=np.array(rr["singular_values"], dtype=float),
-            tolerance_used=float(rr["tolerance_used"]),
-        ),
-        rank_history=list(d.get("rank_history", [])),
-    )
-
-
 def identification_result_to_dict(res: IdentificationResult) -> dict:
     return {
         "A_hat": _mat(res.a_hat),
@@ -144,10 +122,3 @@ def trajectory_to_csv(path, traj: Trajectory) -> None:
 def matrix_to_csv(path, mat: np.ndarray) -> None:
     lines = [",".join(repr(float(v)) for v in row) for row in np.atleast_2d(mat)]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def matrix_from_csv(path) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().strip().splitlines():
-        rows.append([float(v) for v in line.split(",")])
-    return np.array(rows)

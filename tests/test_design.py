@@ -17,7 +17,6 @@ from ctsid import (
     pe_check,
     run_online_design,
     simulate_sampled,
-    state_at,
     svd_rank,
     verify_intersample,
 )
@@ -335,39 +334,6 @@ class TestReplayPlant:
 
 
 class TestSimulatedPlantProbe:
-    def test_probe_matches_state_at(self, aircraft_system):
-        plant = SimulatedPlant(aircraft_system, aircraft.T)
-        plant.reset()
-        plant.apply([1.0, 1.0])
-        plant.apply([-1.0, -1.0])
-        inp = PiecewiseConstantInput(
-            T=aircraft.T, levels=np.array([[1.0, -1.0], [1.0, -1.0]])
-        )
-        t = 0.04
-        assert np.allclose(
-            plant.probe(t, interval=1), state_at(aircraft_system, inp, aircraft.T + t)
-        )
-
-    def test_probe_before_any_step(self, aircraft_system):
-        plant = SimulatedPlant(aircraft_system, aircraft.T)
-        plant.reset()
-        with pytest.raises(ValidationError):
-            plant.probe(0.01)
-
-    def test_probe_starts_from_the_reset_state(self, aircraft_system):
-        x0 = np.array([0.5, 0.0, -1.0, 2.0])
-        plant = SimulatedPlant(aircraft_system, aircraft.T)
-        plant.reset(x0)
-        levels = np.array([[1.0, 0.0, 0.5], [0.0, -1.0, 0.5]])
-        for mu in levels.T:
-            plant.apply(mu)
-        inp = PiecewiseConstantInput(T=aircraft.T, levels=levels)
-        sys_ = LtiSystem(a=aircraft_system.a, b=aircraft_system.b, x0=x0)
-        for k, t in ((0, 0.0), (1, 0.03), (2, 0.099)):
-            assert np.allclose(
-                plant.probe(t, interval=k), state_at(sys_, inp, k * aircraft.T + t), rtol=1e-13
-            )
-
     def test_apply_rejects_wrong_dimensions(self, aircraft_system):
         plant = SimulatedPlant(aircraft_system, aircraft.T)
         plant.reset()

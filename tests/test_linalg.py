@@ -37,11 +37,22 @@ class TestSvdRank:
         assert np.all(np.diff(r.singular_values) <= 0)
         assert r.rank == np.sum(r.singular_values > r.tolerance_used)
 
+    @pytest.mark.parametrize("k", (-1000, -600, -101, 101, 600, 1000))
+    def test_singular_values_scale_exactly(self, k):
+        m = np.random.default_rng(2).standard_normal((5, 7))
+        ref, got = svd_rank(m), svd_rank(np.ldexp(m, k))
+        assert np.array_equal(got.singular_values, np.ldexp(ref.singular_values, k))
+        assert got.rank == ref.rank
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
             svd_rank(np.eye(2), rtol=0.0)
+        with pytest.raises(ValidationError, match="rtol"):
+            svd_rank(np.eye(2), rtol=np.nan)
         with pytest.raises(ValidationError):
             svd_rank(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValidationError, match="finite"):
+            svd_rank(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 class TestRankReport:

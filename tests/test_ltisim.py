@@ -12,7 +12,6 @@ from ctsid import (
     PiecewiseConstantInput,
     ValidationError,
     check_nonpathological,
-    dense_trajectory,
     discretize,
     simulate_sampled,
     state_at,
@@ -314,22 +313,21 @@ class TestStateAt:
 
 class TestDenseTrajectory:
     def test_single_point(self, aircraft_system, aircraft_input):
-        traj = dense_trajectory(aircraft_system, aircraft_input, [0.0])
-        assert np.allclose(traj.states[:, 0], aircraft.X0)
+        states = state_at(aircraft_system, aircraft_input, [0.0])
+        assert np.allclose(states[:, 0], aircraft.X0)
 
     def test_sampling_grid_consistency(self, aircraft_system, aircraft_input):
         sd = simulate_sampled(aircraft_system, aircraft_input)
         grid = np.arange(aircraft_input.N) * aircraft.T
-        traj = dense_trajectory(aircraft_system, aircraft_input, grid)
-        assert np.allclose(traj.states, sd.chi)
+        assert np.allclose(state_at(aircraft_system, aircraft_input, grid), sd.chi)
 
     def test_against_rk4_on_fine_grid(self, aircraft_system, aircraft_input):
         traj_rk4 = rk4_oracle(aircraft_system, aircraft_input, h=aircraft.T / 4096)
         idx = np.arange(0, traj_rk4.times.size - 1, 25)
         grid = traj_rk4.times[idx]
         grid[0] = 0.0
-        traj = dense_trajectory(aircraft_system, aircraft_input, grid)
-        assert np.max(np.abs(traj.states - traj_rk4.states[:, idx])) <= 1e-8
+        states = state_at(aircraft_system, aircraft_input, grid)
+        assert np.max(np.abs(states - traj_rk4.states[:, idx])) <= 1e-8
 
     def test_state_fn_agrees(self, aircraft_system, aircraft_input):
         f = state_fn(aircraft_system, aircraft_input)

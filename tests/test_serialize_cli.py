@@ -7,20 +7,19 @@ import pytest
 import ctsid.aircraft as aircraft
 from ctsid import (
     SimulatedPlant,
-    dense_trajectory,
+    Trajectory,
     filter_lti_dataset,
     make_filter_bank,
     run_online_design,
     simulate_sampled,
+    state_at,
 )
 from ctsid.cli import main
 from ctsid.serialize import (
-    design_result_from_dict,
     design_result_to_dict,
     filtered_dataset_from_dict,
     filtered_dataset_to_dict,
     identification_result_to_dict,
-    matrix_from_csv,
     matrix_to_csv,
     read_json,
     sampled_dataset_from_dict,
@@ -64,14 +63,15 @@ class TestSerializationRoundTrip:
         res = run_online_design(SimulatedPlant(aircraft_system, aircraft.T), 4, 2, aircraft.T)
         path = tmp_path / "dr.json"
         write_json(path, design_result_to_dict(res))
-        back = design_result_from_dict(read_json(path))
-        assert np.array_equal(back.dataset.chi, res.dataset.chi)
-        assert back.branches == res.branches
-        assert back.rank_history == res.rank_history
-        assert back.rank_report.rank == res.rank_report.rank
-        assert len(back.certificates) == len(res.certificates)
-        for a, b in zip(back.certificates, res.certificates):
-            assert np.array_equal(a.xi, b.xi) and np.array_equal(a.eta, b.eta)
+        back = read_json(path)
+        assert back == design_result_to_dict(res)  # every float parses back exactly
+        assert np.array_equal(back["dataset"]["chi"], res.dataset.chi)
+        assert back["branches"] == res.branches
+        assert back["rank_history"] == res.rank_history
+        assert back["rank_report"]["rank"] == res.rank_report.rank
+        assert len(back["certificates"]) == len(res.certificates)
+        for a, b in zip(back["certificates"], res.certificates):
+            assert np.array_equal(a["xi"], b.xi) and np.array_equal(a["eta"], b.eta)
 
     def test_identification_dict_is_json_clean(self, aircraft_system, aircraft_input):
         from ctsid import identify
@@ -95,11 +95,11 @@ class TestSerializationRoundTrip:
         m = rng.standard_normal((3, 5))
         path = tmp_path / "m.csv"
         matrix_to_csv(path, m)
-        assert np.array_equal(matrix_from_csv(path), m)
+        assert np.array_equal(np.loadtxt(path, delimiter=",", ndmin=2), m)
 
     def test_trajectory_csv(self, aircraft_system, aircraft_input, tmp_path):
         grid = np.linspace(0, 0.59, 10)
-        traj = dense_trajectory(aircraft_system, aircraft_input, grid)
+        traj = Trajectory(times=grid, states=state_at(aircraft_system, aircraft_input, grid))
         path = tmp_path / "traj.csv"
         trajectory_to_csv(path, traj)
         lines = path.read_text().splitlines()
@@ -145,8 +145,8 @@ class TestCli:
     def test_design(self, aircraft_config, tmp_path):
         rc = main(["design", "--config", str(aircraft_config), "--out", str(tmp_path / "o")])
         assert rc == 0
-        res = design_result_from_dict(read_json(tmp_path / "o" / "design_result.json"))
-        assert res.rank_report.rank == 6
+        res = read_json(tmp_path / "o" / "design_result.json")
+        assert res["rank_report"]["rank"] == 6
 
     def test_filter_identify_verify_pipeline(self, aircraft_config, tmp_path):
         out = tmp_path / "o"
@@ -184,7 +184,7 @@ class TestCli:
         rc = main(["filters", "plot-data", "--family", "lowpass", "--rho", "2.0",
                    "--T", "0.1", "--M", "4", "--N", "4", "--out", str(out)])
         assert rc == 0
-        data = matrix_from_csv(out / "filter_lowpass.csv")
+        data = np.loadtxt(out / "filter_lowpass.csv", delimiter=",", ndmin=2)
         assert data.shape == (600, 5)
         from ctsid import eval_g
 
@@ -198,6 +198,14 @@ class TestCli:
         bad = tmp_path / "c.json"
         bad.write_text("not json at all")
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command, rtol", [("design", "0"), ("verify", "-1"), ("verify", "nan")])
+    def test_non_positive_rtol_exits_2(self, command, rtol, aircraft_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([command, "--config", str(aircraft_config), "--out", str(out),
+                     "--rtol", rtol]) == 2
+        assert "rank_rtol must be positive" in capsys.readouterr().err
+        assert not out.exists()  # refused before any output file is written
 
     def test_design_failure_exits_3(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -298,7 +306,7 @@ class TestCli:
         assert main(["filters", "plot-data", "--config", str(cfg), "--family", "lowpass",
                      "--rho", "2", "--out", str(out)]) == 0
         assert not (out / "filter_poly_test.csv").exists()
-        data = matrix_from_csv(out / "filter_lowpass.csv")
+        data = np.loadtxt(out / "filter_lowpass.csv", delimiter=",", ndmin=2)
         assert data.shape == (600, 5)  # M = 4 and T = 0.1 still come from the file
         from ctsid import eval_g
 
