@@ -202,15 +202,19 @@ def run_online_design(
     its last entry is the final svd_rank of [chi; mu].
 
     Raises ValidationError, before the plant is driven, when rtol is not
-    positive, and before an input is recorded or applied when the policy's
-    input or the plant's state has the wrong length or a non-finite
-    entry. Raises DesignFailureError with the dataset, branch log and rank
-    report when the final stacked matrix falls short of rank n + m
-    (uncontrollable plant, pathological sampling time, or tolerance mis-set
-    for the data scale).
+    positive or the plant's own T differs from T (relative 1e-12), and
+    before an input is recorded or applied when the policy's input or the
+    plant's state has the wrong length or a non-finite entry. Raises
+    DesignFailureError with the dataset, branch log and rank report when
+    the final stacked matrix falls short of rank n + m (uncontrollable
+    plant, pathological sampling time, or tolerance mis-set for the data
+    scale).
     """
     if not rtol > 0:
         raise ValidationError("rtol must be positive")
+    plant_T = getattr(plant, "T", T)
+    if abs(plant_T - T) > 1e-12 * abs(T):
+        raise ValidationError(f"plant sampling period T={plant_T!r} differs from T={T!r}")
     policy = CyclingPolicy(m) if policy is None else policy
     N = n + m
     data = np.empty((N, N))  # [chi; mu], one column per step

@@ -19,6 +19,8 @@ moment of g or g' against e^{[[A, B], [0, 0]] tau} on [0, T], applied to
 exponentials (Van Loan) for lowpass, laguerre and poly_test, and composite
 Gauss-Legendre for bump_test, at the node propagators of the system's one
 exact propagator (ltisim.discretize), which builds them once per (A, B, T).
+F_bar is built once per bank value; a closed-form family's data take one
+pass, and each dataset holds [x_f; u_f] as one read-only buffer.
 
 The module also builds, independently by quadrature over the paper's split
 (decompose), the block matrices (A_bar, B_bar, G_bar, C_bar, F_bar) of
@@ -48,7 +50,8 @@ from .ltisim import (
 
 @dataclass(frozen=True)
 class FilteredDataset:
-    """Filtered state/input/derivative data plus quadrature error estimates."""
+    """Filtered state/input/derivative data plus quadrature error estimates,
+    as read-only copies; x_f and u_f view the one [x_f; u_f] buffer stacked() returns."""
 
     x_f: np.ndarray  # (n, M)
     u_f: np.ndarray  # (m, M)
@@ -58,9 +61,23 @@ class FilteredDataset:
     T: float
     M: int
     quadrature_report: dict = field(default_factory=dict)
+    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        x_f, u_f = np.atleast_2d(self.x_f), np.atleast_2d(self.u_f)
+        if x_f.shape[1:] != u_f.shape[1:]:
+            raise ValidationError("x_f and u_f must have the same column count")
+        stacked = np.vstack([x_f, u_f], dtype=float)
+        x_df = np.array(self.x_df, dtype=float)
+        for arr in (stacked, x_df):
+            arr.setflags(write=False)
+        n = x_f.shape[0]
+        for name, value in (("x_f", stacked[:n]), ("u_f", stacked[n:]),
+                            ("x_df", x_df), ("_stacked", stacked)):
+            object.__setattr__(self, name, value)
 
     def stacked(self) -> np.ndarray:
-        return np.vstack([self.x_f, self.u_f])
+        return self._stacked
 
 
 @dataclass(frozen=True)
@@ -196,8 +213,7 @@ def filter_lti_dataset(
     """
     bank._require_n_ge_m(bank.N)
     _check_input(bank, inp)
-    f_bar = bank._lag_matrix()
-    peak = float(f_bar.max(axis=0).min())
+    f_bar, peak = bank._lag_matrix()
     if peak < np.finfo(float).tiny:
         raise NumericalError(
             f"{bank.family} filters vanish in double precision at rho={bank.rho!r}: "
@@ -218,7 +234,9 @@ def filter_lti_dataset(
             g_end * next_f - g_0 * s_f[:n] - gd_x @ s_f,
         )
 
-    fine, coarse = (data(mom) for mom in _interval_moments(sys, bank, config))
+    fine_moments, coarse_moments = _interval_moments(sys, bank, config)
+    fine = data(fine_moments)
+    coarse = fine if coarse_moments is fine_moments else data(coarse_moments)
     report = {
         name: np.abs(f - c)
         for name, f, c in zip(("x_f", "u_f", "x_df"), fine, coarse)

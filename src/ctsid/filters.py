@@ -28,6 +28,7 @@ g = s * g_spec and f_l(jT) = c(d) / s, with one scalar s per family.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -153,9 +154,13 @@ class FilterBank:
         inside = (j >= 0) & (d >= lo) & (d <= hi)
         return np.where(inside, self._spec.c(self.rho, self.T, np.where(inside, d, 0)), 0.0)
 
-    def _lag_matrix(self) -> np.ndarray:
-        """N x M matrix c(j - l + 1) of the spec's split, j = 0..N-1, l = 1..M."""
-        return self._coef(np.arange(1, self.M + 1), np.arange(self.N)[:, None])
+    @functools.lru_cache(maxsize=8)  # the last 8 bank values, 8 KB each at N = M = 32
+    def _lag_matrix(self) -> tuple[np.ndarray, float]:
+        """Read-only N x M matrix c(j - l + 1) of the spec's split, j = 0..N-1,
+        l = 1..M, and its smallest column maximum; once per bank value."""
+        f = self._coef(np.arange(1, self.M + 1), np.arange(self.N)[:, None])
+        f.setflags(write=False)
+        return f, float(f.max(axis=0).min())
 
     def _require_n_ge_m(self, N: int) -> None:
         if N < self.M:
@@ -252,4 +257,4 @@ def decompose(bank: FilterBank, N: int | None = None) -> Decomposition:
 
 def build_F_bar(decomp: Decomposition) -> np.ndarray:
     """N x M matrix with entry (j, l) = f_l(jT), j = 0..N-1, l = 1..M."""
-    return decomp.bank._lag_matrix() / decomp._scale
+    return decomp.bank._lag_matrix()[0] / decomp._scale

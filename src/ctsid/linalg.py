@@ -6,7 +6,8 @@ Everything downstream (simulation, filtering, design, identification) goes
 through these wrappers so a single tolerance convention applies everywhere:
 one helper takes the SVD and applies the rank threshold
 rtol * s_max * max(rows, cols), for a matrix or a stack of them, and each
-rank verdict costs one SVD.
+rank verdict costs one SVD. The pseudo-inverse inverts only the kept
+singular values; a Frobenius norm near unit scale is np.linalg.norm's.
 """
 
 from __future__ import annotations
@@ -72,14 +73,11 @@ def _rank_svd(m, rtol: float):
 def _rank_pinv(m, rtol: float) -> tuple[RankReport, np.ndarray]:
     """The svd_rank report and the pseudo-inverse of M from its one SVD."""
     u, s, vh, tol, rank = _rank_svd(m, rtol)
-    kept = s > tol
-    k = s.size
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
-        out = vh[:k].T @ (inv[:, None] * u[:, :k].T)
-    if not np.all(np.isfinite(out)):
+        out = vh[:rank].T @ ((1.0 / s[:rank])[:, None] * u[:, :rank].T)
+    if not np.isfinite(out).all():
         raise NumericalError(
-            f"pseudo-inverse is not finite: smallest kept singular value {s[kept].min():.3g}"
+            f"pseudo-inverse is not finite: smallest kept singular value {s[rank - 1]:.3g}"
         )
     return RankReport(rank=int(rank), singular_values=s, tolerance_used=tol), out
 
@@ -181,13 +179,14 @@ def expm(a) -> np.ndarray:
 
 
 def _frobenius(m) -> float:
-    """Frobenius norm of M computed on M / 2^e, with 2^e from np.frexp of the
-    largest entry, so the squared entries neither underflow nor overflow.
-    Scaling by a power of two is exact: where np.linalg.norm's squares stay
-    in range the result is bit-identical to it."""
+    """Frobenius norm of M: np.linalg.norm's own when the largest |entry|
+    lies in [2^-100, 2^100], as in _rank_svd, else computed on M / 2^e, 2^e
+    from np.frexp of that entry, so the squares neither underflow nor
+    overflow. Scaling by a power of two is exact: where np.linalg.norm's
+    squares stay in range the two are bit-identical."""
     a = np.asarray(m, dtype=float)
-    peak = float(np.max(np.abs(a), initial=0.0))
-    if not 0.0 < peak < np.inf:
+    peak = float(np.abs(a).max(initial=0.0))
+    if 2.0**-100 <= peak <= 2.0**100 or not 0.0 < peak < np.inf:
         return float(np.linalg.norm(a))
     e = int(np.frexp(peak)[1])
     return math.ldexp(float(np.linalg.norm(np.ldexp(a, -e))), e)

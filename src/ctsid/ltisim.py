@@ -191,39 +191,43 @@ class Trajectory:
 class SampledDataset:
     """State samples chi_0..chi_{N-1} and inputs mu_0..mu_{N-1}.
 
-    chi_final holds the state at t = N*T (one past the last input sample);
-    chi_all stacks it next to chi for displays spanning N+1 states.
+    The dataset owns one read-only copy of [chi; mu], which stacked()
+    returns; chi and mu are views of it. chi_final holds the state at
+    t = N*T (one past the last input sample); chi_all, built once, spans the
+    N+1 states, and chi_final is a view of its last column.
     """
 
     chi: np.ndarray  # (n, N)
     mu: np.ndarray  # (m, N)
     T: float
     chi_final: np.ndarray | None = None
+    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    chi_all: np.ndarray = field(init=False, repr=False, compare=False)  # (n, N or N+1)
 
     def __post_init__(self):
         chi = np.atleast_2d(np.asarray(self.chi, dtype=float))
         mu = np.atleast_2d(np.asarray(self.mu, dtype=float))
         if chi.shape[1] != mu.shape[1]:
             raise ValidationError("chi and mu must have the same column count")
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "mu", mu)
-        if self.chi_final is not None:
-            object.__setattr__(
-                self, "chi_final", np.asarray(self.chi_final, dtype=float).reshape(-1)
-            )
+        stacked = np.vstack([chi, mu])
+        n, final = chi.shape[0], self.chi_final
+        if final is not None and np.size(final) != n:
+            raise ValidationError(f"chi_final has {np.size(final)} entries, expected {n}")
+        chi_all = stacked[:n] if final is None else np.hstack(
+            [chi, np.reshape(np.asarray(final, dtype=float), (n, 1))])
+        for arr in (stacked, chi_all):
+            arr.setflags(write=False)  # before the views below are taken
+        final = None if final is None else chi_all[:, -1]
+        for name, value in (("chi", stacked[:n]), ("mu", stacked[n:]), ("_stacked", stacked),
+                            ("chi_all", chi_all), ("chi_final", final)):
+            object.__setattr__(self, name, value)
 
     @property
     def N(self) -> int:
         return self.chi.shape[1]
 
-    @property
-    def chi_all(self) -> np.ndarray:
-        if self.chi_final is None:
-            return self.chi
-        return np.hstack([self.chi, self.chi_final[:, None]])
-
     def stacked(self) -> np.ndarray:
-        return np.vstack([self.chi, self.mu])
+        return self._stacked
 
 
 @functools.lru_cache(maxsize=None)

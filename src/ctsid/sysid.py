@@ -3,7 +3,8 @@
 When the stacked filtered matrix [x_f; u_f] has rank n + m, the algebraic
 relation x_df = A x_f + B u_f pins (A, B) down uniquely and the
 pseudo-inverse formula recovers it exactly; otherwise the minimum-norm
-least-squares solution is returned and flagged.
+least-squares solution is returned and flagged. Both fits read their
+dataset's own stacked buffer and take one SVD of it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def identify(
 ) -> IdentificationResult:
     """[A_hat B_hat] = x_df [x_f; u_f]^+, informative iff rank [x_f; u_f] = n + m.
 
-    The rank and the pseudo-inverse come from one SVD of [x_f; u_f].
+    The rank and the pseudo-inverse come from one SVD of fd.stacked().
     """
     if fd.x_f.shape[0] != n or fd.u_f.shape[0] != m:
         raise ValidationError("filtered data dimensions disagree with n, m")

@@ -307,6 +307,24 @@ class TestRejectedBeforeThePlantMoves:
             run_online_design(plant, 4, 2, aircraft.T)
         assert plant.applied == 0
 
+    def test_plant_of_another_sampling_period(self, aircraft_system):
+        # the T = 0.1 map used to be recorded as the model of T = 0.2
+        plant = CountingPlant(aircraft_system)
+        plant.T = 2 * aircraft.T
+        with pytest.raises(ValidationError, match=r"plant sampling period T=0\.2.*T=0\.1"):
+            run_online_design(plant, 4, 2, aircraft.T)
+        assert plant.applied == 0
+        with pytest.raises(ValidationError, match="sampling period"):
+            run_online_design(SimulatedPlant(aircraft_system, aircraft.T), 4, 2, 2 * aircraft.T)
+
+    def test_sampling_period_within_rounding_or_absent(self, aircraft_system):
+        # the relative 1e-12 rule of filtering; a plant without T is trusted
+        close = SimulatedPlant(aircraft_system, aircraft.T * (1 + 1e-13))
+        assert run_online_design(close, 4, 2, aircraft.T).rank_report.rank == 6
+        plant = CountingPlant(aircraft_system)
+        assert not hasattr(plant, "T")
+        assert run_online_design(plant, 4, 2, aircraft.T).rank_report.rank == 6
+
 
 class TestReplayPlant:
     def test_replay_reproduces_design(self, aircraft_system):
@@ -315,6 +333,15 @@ class TestReplayPlant:
         res2 = run_online_design(replay, 4, 2, aircraft.T)
         assert np.allclose(res2.dataset.chi, res.dataset.chi)
         assert res2.branches == res.branches
+
+    def test_replay_at_its_own_period(self, aircraft_system):
+        T = 0.05
+        res = run_online_design(SimulatedPlant(aircraft_system, T), 4, 2, T)
+        replay = ReplayPlant(res.dataset)
+        assert replay.T == T
+        assert np.array_equal(run_online_design(replay, 4, 2, T).dataset.chi_all, res.dataset.chi_all)
+        with pytest.raises(ValidationError, match="sampling period"):
+            run_online_design(ReplayPlant(res.dataset), 4, 2, aircraft.T)
 
     def test_deviating_input_rejected(self, aircraft_system, aircraft_input):
         sd = simulate_sampled(aircraft_system, aircraft_input)

@@ -8,6 +8,7 @@ import ctsid.filtering
 import ctsid.linalg
 import ctsid.ltisim
 from ctsid import (
+    FilteredDataset,
     LtiSystem,
     NumericConfig,
     NumericalError,
@@ -289,6 +290,38 @@ class TestFilterLtiDataset:
             filter_lti_dataset(aircraft_system, aircraft_input, bank)
         with pytest.raises(ValidationError, match=r"T=0\.1.*T=0\.2"):
             filtered_input_data(bank, aircraft_input)
+
+
+class TestFilteredDatasetBuffer:
+    """A FilteredDataset owns read-only copies of its data: one [x_f; u_f]
+    buffer, which stacked() returns and x_f and u_f view, and x_df."""
+
+    def test_caller_arrays_are_copied(self):
+        x_f, u_f, x_df = np.ones((2, 3)), np.full((1, 3), 2.0), np.full((2, 3), 3.0)
+        fd = FilteredDataset(x_f=x_f, u_f=u_f, x_df=x_df, family="lowpass", rho=1.0, T=T, M=3)
+        for arr in (x_f, u_f, x_df):
+            arr[0, 0] = 99.0
+        assert np.array_equal(fd.stacked(), [[1.0] * 3, [1.0] * 3, [2.0] * 3])
+        assert np.array_equal(fd.x_df, np.full((2, 3), 3.0))
+
+    def test_column_mismatch_is_refused(self):
+        # it used to surface as a bare numpy ValueError from stacked()
+        with pytest.raises(ValidationError, match="same column count"):
+            FilteredDataset(x_f=np.ones((2, 2)), u_f=np.ones((1, 3)), x_df=np.ones((2, 2)),
+                            family="lowpass", rho=1.0, T=T, M=2)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_stacked_is_one_read_only_buffer_viewed_by_x_f_and_u_f(
+        self, family, aircraft_system, aircraft_input
+    ):
+        fd = filter_lti_dataset(aircraft_system, aircraft_input, bank_of(family))
+        s = fd.stacked()
+        assert fd.stacked() is s
+        assert fd.x_f.base is s and fd.u_f.base is s
+        assert s.shape == (6, 6)
+        for arr in (s, fd.x_f, fd.u_f, fd.x_df):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
 
 
 def _gate_system(kind, n, norm_t, period, rng):

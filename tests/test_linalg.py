@@ -15,7 +15,7 @@ from ctsid import (
     simulate_sampled,
     svd_rank,
 )
-from ctsid.linalg import RankReport, expm, frobenius_distance, left_kernel_basis, pinv
+from ctsid.linalg import RankReport, _frobenius, expm, frobenius_distance, left_kernel_basis, pinv
 
 
 class TestSvdRank:
@@ -293,7 +293,19 @@ class TestFrobeniusDistance:
         with pytest.raises(ValidationError):
             frobenius_distance(np.eye(2), np.eye(3))
 
-    @pytest.mark.parametrize("k", (-600, -530, 0, 540, 1000))
+    @pytest.mark.parametrize("seed", range(20))
+    def test_near_unit_scale_it_is_np_linalg_norm(self, seed):
+        # largest |entry| in [2^-100, 2^100]: np.linalg.norm itself, and the
+        # same bits as the norm of M / 2^e scaled back
+        rng = np.random.default_rng(seed)
+        m = np.ldexp(rng.uniform(0.5, 1.0, size=rng.integers(1, 9, size=2)), int(rng.integers(-99, 100)))
+        m *= rng.choice((-1.0, 1.0), size=m.shape) * (rng.random(m.shape) < 0.8)
+        e = math.frexp(float(np.abs(m).max()))[1]
+        assert 2.0**-100 <= np.abs(m).max() <= 2.0**100
+        assert _frobenius(m) == float(np.linalg.norm(m))
+        assert _frobenius(m) == math.ldexp(float(np.linalg.norm(np.ldexp(m, -e))), e)
+
+    @pytest.mark.parametrize("k", (-600, -530, -500, 0, 540, 1000))
     def test_scaled_by_a_power_of_two_exactly(self, k):
         # np.linalg.norm squares the entries: below about 2^-511 the squares
         # are subnormal or 0, above about 2^512 they overflow to inf

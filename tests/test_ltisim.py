@@ -10,6 +10,7 @@ import ctsid.ltisim as ltisim
 from ctsid import (
     LtiSystem,
     PiecewiseConstantInput,
+    SampledDataset,
     ValidationError,
     check_nonpathological,
     discretize,
@@ -243,6 +244,47 @@ class TestSampledMemo:
             sd = simulate_sampled(systems[i], inp)
             assert np.array_equal(sd.chi_all, expected[i].chi_all)
             assert np.array_equal(sd.chi[:, 0], systems[i].x0)
+
+
+class TestSampledDatasetBuffer:
+    """A SampledDataset owns one read-only [chi; mu] buffer, which stacked()
+    returns and chi and mu view, and builds chi_all once."""
+
+    @staticmethod
+    def arrays():
+        return np.arange(6.0).reshape(2, 3), np.ones((1, 3)), np.array([7.0, 8.0])
+
+    def test_caller_arrays_are_copied(self):
+        chi, mu, chi_final = self.arrays()
+        sd = SampledDataset(chi=chi, mu=mu, T=0.1, chi_final=chi_final)
+        for arr in (chi, mu, chi_final):
+            arr[(0,) * arr.ndim] = 99.0
+        assert np.array_equal(sd.stacked(), np.vstack(self.arrays()[:2]))
+        assert np.array_equal(sd.chi_all, [[0.0, 1.0, 2.0, 7.0], [3.0, 4.0, 5.0, 8.0]])
+
+    @pytest.mark.parametrize("with_final", (True, False))
+    def test_stacked_is_one_read_only_buffer_viewed_by_chi_and_mu(self, with_final):
+        chi, mu, chi_final = self.arrays()
+        sd = SampledDataset(chi=chi, mu=mu, T=0.1, chi_final=chi_final if with_final else None)
+        s = sd.stacked()
+        assert sd.stacked() is s
+        assert not s.flags.writeable
+        assert sd.chi.base is s and sd.mu.base is s
+        for arr in (s, sd.chi, sd.mu, sd.chi_all):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_chi_final_of_another_length_is_refused(self):
+        # it used to be kept unchecked until chi_all stacked it
+        chi, mu, _ = self.arrays()
+        with pytest.raises(ValidationError, match="chi_final has 3 entries, expected 2"):
+            SampledDataset(chi=chi, mu=mu, T=0.1, chi_final=np.zeros(3))
+
+    def test_chi_final_is_the_last_column_of_chi_all(self, aircraft_system, aircraft_input):
+        sd = simulate_sampled(aircraft_system, aircraft_input)
+        assert sd.chi_final.base is sd.chi_all
+        assert np.array_equal(sd.chi_all[:, -1], sd.chi_final)
+        assert np.array_equal(sd.chi_all[:, :-1], sd.chi)
 
 
 class TestGaussLegendre:

@@ -3,11 +3,14 @@
 Counted by monkeypatching, so the removed work cannot creep back: a
 horizon-shaped pipeline (simulate, then filter and identify with all four
 families) runs the ZOH recurrence once, builds the Gauss-Legendre rule at
-most once per node count, each identify or identify_discrete takes
-exactly one SVD, and an online design takes one SVD per step: n + m - 1
-of K_u and the final rank verdict. Once a plant's propagator is memoized,
-the benchmark's horizon job on it takes no matrix exponential and its
-aircraft job one (the random intersample offsets).
+most once per node count and each lag matrix F_bar once per filter bank
+value, a closed-form family evaluates its filtered data once per call,
+stacked() hands out the dataset's own buffer without stacking again, each
+identify or identify_discrete takes exactly one SVD, and an online design
+takes one SVD per step: n + m - 1 of K_u and the final rank verdict. Once
+a plant's propagator is memoized, the benchmark's horizon job on it takes
+no matrix exponential and its aircraft job one (the random intersample
+offsets).
 """
 
 import sys
@@ -32,7 +35,7 @@ from ctsid import (
     run_online_design,
     simulate_sampled,
 )
-from ctsid.filters import FAMILIES
+from ctsid.filters import FAMILIES, FilterBank
 from conftest import controllable_by_construction
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -83,6 +86,60 @@ def test_legendre_rule_built_at_most_once_per_node_count(monkeypatch):
     for seed, nodes in ((0, 16), (1, 16), (2, 8)):
         horizon_job(*fresh_job_inputs(seed), NumericConfig(quad_nodes=nodes))
     assert built == {16: 1, 8: 1}
+
+
+def test_lag_matrix_built_once_per_bank_value(monkeypatch):
+    # each job makes new FilterBank objects; equal values share one F_bar
+    built = Counter()
+    coef = counting(FilterBank._coef, built, key=lambda bank, ell, j: bank)
+    monkeypatch.setattr(FilterBank, "_coef", coef)
+    FilterBank._lag_matrix.cache_clear()
+    for seed in range(2):
+        horizon_job(*fresh_job_inputs(seed))
+    assert built == {make_filter_bank(f, RHO[f], aircraft.T, N, N): 1 for f in FAMILIES}
+
+
+class CountedMoments(tuple):
+    """Moments that count their unpackings, one per evaluation of the data."""
+
+    unpacked = Counter()
+
+    def __new__(cls, moments, family):
+        self = super().__new__(cls, moments)
+        self.family = family
+        return self
+
+    def __iter__(self):
+        self.unpacked[self.family] += 1
+        return super().__iter__()
+
+
+def test_closed_form_data_evaluated_once_per_call(monkeypatch):
+    interval_moments = filtering._interval_moments
+
+    def counted(sys_, bank, config):
+        fine, coarse = interval_moments(sys_, bank, config)
+        counted_fine = CountedMoments(fine, bank.family)
+        return counted_fine, counted_fine if coarse is fine else CountedMoments(coarse, bank.family)
+
+    monkeypatch.setattr(filtering, "_interval_moments", counted)
+    CountedMoments.unpacked.clear()
+    horizon_job(*fresh_job_inputs(0))
+    # fine and coarse are one exact triple; bump_test is quadrature at two panel counts
+    assert CountedMoments.unpacked == {"poly_test": 1, "laguerre": 1, "lowpass": 1, "bump_test": 2}
+
+
+def test_stacked_hands_out_the_owned_buffer(monkeypatch):
+    sys_, inp = fresh_job_inputs(0)
+    sd = simulate_sampled(sys_, inp)
+    fd = filter_lti_dataset(sys_, inp, make_filter_bank("lowpass", 1.0, inp.T, N, N))
+    vstacks = Counter()
+    monkeypatch.setattr(np, "vstack", counting(np.vstack, vstacks))
+    for k in range(1, N + 1):  # the rank ladder of the benchmark's checks
+        assert sd.stacked()[:, :k].shape == fd.stacked()[:, :k].shape == (6, k)
+    identify(fd, sys_.n, sys_.m)
+    identify_discrete(sd)
+    assert vstacks[None] == 0
 
 
 def test_each_identification_takes_one_svd(monkeypatch):
