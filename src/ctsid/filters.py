@@ -13,17 +13,25 @@ inside its support and has a finite left limit at every breakpoint, which
 is exactly what the integration-by-parts formula for derivative-free
 filtered data needs.
 
-All four families decompose as g_l(tau + jT) = g(tau) * f_l(jT), and f_l(jT)
-depends only on the lag d = j - (l - 1). Each family is written once, as a
-private _Spec: g and g' on [0, T), the left limit g(T^-), the lag
-coefficient c(d) and the range of lags where c can be nonzero. Every
-function below derives from it: g_l(jT + tau) = g(tau) c(j - l + 1) and
-F_bar[j, l-1] = c(j - l + 1).
+All four decompose as g_l(tau + jT) = g(tau) c(j - l + 1) with a lag
+coefficient c, and F_bar[j, l-1] = c(j - l + 1). Each family is one _Spec
+in _SPECS, the only place its formulas live, from which all else derives:
+g and g' on [0, T] (g(T) is the left limit g(T^-)), c, the lags where c can
+be nonzero, the scale s of the paper's split (decompose: g = s g_spec,
+f_l(jT) = c(d) / s) and the moments G = int_0^T g(tau) e^{M tau} dtau and
+G' (with g') for M = [[A, B], [0, 0]].
 
-A spec takes the split that keeps every factor in floating-point range:
-lowpass g(tau) = e^{rho (tau - T)} with c(d) = e^{rho d T} <= 1, bump_test
-g(0) = 1 with c(0) = e^{-rho}. decompose returns the paper's split,
-g = s * g_spec and f_l(jT) = c(d) / s, with one scalar s per family.
+The spec's split keeps every factor in floating-point range: lowpass
+g(tau) = e^{rho (tau - T)} with c(d) = e^{rho d T} <= 1, bump_test g(0) = 1
+with c(0) = e^{-rho}. The moments are closed-form (Van Loan, IEEE TAC 23
+(1978)) but for bump_test, which filtering integrates by Gauss-Legendre.
+lowpass and laguerre share one form, g = a e^{alpha (tau - tau_0)} peaking
+at tau_0, with G' = alpha G. Its Van Loan block follows the peak so that no
+exponent grows: for tau_0 = T (lowpass) the top-right block of
+exp([[-alpha T I, I], [0, M T]]) is int_0^1 e^{-alpha T (1 - s)} e^{M T s} ds,
+a decaying weight on the plant's exponential, finite at any rho T; for
+tau_0 = 0 (laguerre) that of exp([[(M + alpha I) T, I], [0, 0]]) is
+int_0^1 e^{(M + alpha I) T s} ds.
 """
 
 from __future__ import annotations
@@ -36,18 +44,19 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import expm
 
 
 @dataclass(frozen=True)
 class _Spec:
     """One family on one sampling interval; (rho, T) are the first arguments."""
 
-    g: Callable  # (rho, T, tau) -> g(tau) for tau in [0, T)
+    g: Callable  # (rho, T, tau) -> g(tau) for tau in [0, T]; g(T) is g(T^-)
     g_deriv: Callable  # (rho, T, tau) -> g'(tau)
-    g_end: Callable  # (rho, T) -> g(T^-)
     c: Callable  # (rho, T, d) -> c(d) for lags d in the range below
     lags: tuple[float, float]  # c(d) can be nonzero only for lags[0] <= d <= lags[1]
     scale: Callable  # (rho, T) -> s; the paper's split is g = s g_spec, f = c / s
+    moments: Callable | None  # (aug, rho, T) -> (G, G'); None: Gauss-Legendre of g and g'
 
 
 def _bump_g(rho, T, tau):
@@ -64,43 +73,71 @@ def _bump_g_deriv(rho, T, tau):
     return np.where(g > 0, g * chain, 0.0)
 
 
-def _ones(rho, T, d):
-    return np.ones(np.shape(d))
+def _poly_moments(aug, rho, T):
+    """g = rho T^4 (u^2 - 2u^3 + u^4) and g' = -rho T^3 (2u - 6u^2 + 4u^3) in
+    u = 1 - tau/T. One exponential of the chain [[M T, I], [0, 0, I], ..., [0, 0]]
+    with five identity blocks holds H_k = int_0^1 e^{M T s} (1 - s)^k / k! ds,
+    k = 0..4, in its top row."""
+    p = aug.shape[0]
+    chain = np.eye(6 * p, k=p)
+    chain[:p, :p] = aug * T
+    h = expm(chain)[:p].reshape(p, 6, p)[:, 1:].transpose(1, 0, 2)
+    return (rho * T**5 * (2 * h[2] - 12 * h[3] + 24 * h[4]),
+            -rho * T**4 * (2 * h[1] - 12 * h[2] + 24 * h[3]))
+
+
+def _exponential(amplitude: Callable, sign: int) -> _Spec:
+    """g = a e^{alpha (tau - tau_0)} with a = amplitude(rho) and alpha = sign rho,
+    peaking at tau_0 = T when it grows and at tau_0 = 0 when it decays; the
+    paper's g is a e^{alpha tau}, so s = e^{alpha tau_0}."""
+    grows = sign > 0
+
+    def tau_0(T):
+        return T if grows else 0.0
+
+    def exp(rho, T, tau):
+        return np.exp(sign * rho * (tau - tau_0(T)))
+
+    def moments(aug, rho, T):
+        alpha, p = sign * rho, aug.shape[0]
+        block = np.eye(2 * p, k=p)
+        if grows:
+            block[:p, :p] = -alpha * T * np.eye(p)
+            block[p:, p:] = aug * T
+        else:
+            block[:p, :p] = (aug + alpha * np.eye(p)) * T
+        g_full = amplitude(rho) * T * expm(block)[:p, p:]
+        return g_full, alpha * g_full
+
+    return _Spec(
+        g=lambda rho, T, tau: amplitude(rho) * exp(rho, T, tau),
+        g_deriv=lambda rho, T, tau: sign * rho * amplitude(rho) * exp(rho, T, tau),
+        c=lambda rho, T, d: np.exp(sign * rho * T * d),
+        lags=(-math.inf, 0) if grows else (0, math.inf),
+        scale=lambda rho, T: np.exp(sign * rho * tau_0(T)),
+        moments=moments,
+    )
 
 
 _SPECS = {
     "poly_test": _Spec(
         g=lambda rho, T, tau: rho * tau**2 * (T - tau) ** 2,
         g_deriv=lambda rho, T, tau: rho * (2 * tau * (T - tau) ** 2 - 2 * tau**2 * (T - tau)),
-        g_end=lambda rho, T: 0.0,
-        c=_ones,
+        c=lambda rho, T, d: np.ones(np.shape(d)),
         lags=(0, 0),
         scale=lambda rho, T: 1.0,
+        moments=_poly_moments,
     ),
     "bump_test": _Spec(
         g=_bump_g,
         g_deriv=_bump_g_deriv,
-        g_end=lambda rho, T: 0.0,
-        c=lambda rho, T, d: np.exp(-rho) * _ones(rho, T, d),
+        c=lambda rho, T, d: np.exp(-rho) * np.ones(np.shape(d)),
         lags=(0, 0),
         scale=lambda rho, T: np.exp(-rho),
+        moments=None,
     ),
-    "laguerre": _Spec(
-        g=lambda rho, T, tau: np.sqrt(2 * rho) * np.exp(-rho * tau),
-        g_deriv=lambda rho, T, tau: -rho * np.sqrt(2 * rho) * np.exp(-rho * tau),
-        g_end=lambda rho, T: np.sqrt(2 * rho) * np.exp(-rho * T),
-        c=lambda rho, T, d: np.exp(-rho * T * d),
-        lags=(0, math.inf),
-        scale=lambda rho, T: 1.0,
-    ),
-    "lowpass": _Spec(
-        g=lambda rho, T, tau: np.exp(rho * (tau - T)),
-        g_deriv=lambda rho, T, tau: rho * np.exp(rho * (tau - T)),
-        g_end=lambda rho, T: 1.0,
-        c=lambda rho, T, d: np.exp(rho * T * d),
-        lags=(-math.inf, 0),
-        scale=lambda rho, T: np.exp(rho * T),
-    ),
+    "laguerre": _exponential(lambda rho: np.sqrt(2 * rho), -1),
+    "lowpass": _exponential(lambda rho: 1.0, 1),
 }
 
 FAMILIES = tuple(_SPECS)
@@ -117,12 +154,13 @@ class FilterBank:
     N: int
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _SPECS:
             raise ValidationError(f"unknown filter family {self.family!r}")
-        if self.rho <= 0 or self.T <= 0:
-            raise ValidationError("rho and T must be positive")
-        if self.M < 1 or self.N < 1:
-            raise ValidationError("M and N must be >= 1")
+        if not (0 < self.rho < math.inf and 0 < self.T < math.inf):  # nan fails too
+            raise ValidationError("rho and T must be finite and positive")
+        if not (isinstance(self.M, (int, np.integer)) and isinstance(self.N, (int, np.integer))
+                and min(self.M, self.N) >= 1):
+            raise ValidationError("M and N must be integers >= 1")
 
     @property
     def horizon(self) -> float:
@@ -155,12 +193,15 @@ class FilterBank:
         return np.where(inside, self._spec.c(self.rho, self.T, np.where(inside, d, 0)), 0.0)
 
     @functools.lru_cache(maxsize=8)  # the last 8 bank values, 8 KB each at N = M = 32
-    def _lag_matrix(self) -> tuple[np.ndarray, float]:
+    def _lag_matrix(self) -> tuple[np.ndarray, float, np.ndarray]:
         """Read-only N x M matrix c(j - l + 1) of the spec's split, j = 0..N-1,
-        l = 1..M, and its smallest column maximum; once per bank value."""
+        l = 1..M, its smallest column maximum and the spec's [g(0), g(T^-)];
+        once per bank value."""
         f = self._coef(np.arange(1, self.M + 1), np.arange(self.N)[:, None])
-        f.setflags(write=False)
-        return f, float(f.max(axis=0).min())
+        ends = self._spec.g(self.rho, self.T, np.array([0.0, self.T]))
+        for arr in (f, ends):
+            arr.setflags(write=False)
+        return f, float(f.max(axis=0).min()), ends
 
     def _require_n_ge_m(self, N: int) -> None:
         if N < self.M:
@@ -218,7 +259,7 @@ def left_limit_g(bank: FilterBank, ell: int, t_j: float) -> float:
         raise ValidationError(f"{t_j} is not a breakpoint")
     j = int(round(j))
     # the piece ending at t_j is interval j - 1
-    return float(bank._coef(ell, j - 1)) * float(bank._spec.g_end(bank.rho, bank.T))
+    return float(bank._coef(ell, j - 1)) * float(bank._lag_matrix()[2][1])
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,7 @@ class DiscreteSystem:
     e^{M tau} inside an interval. discretize shares one instance per value
     of (A, B, T), so every array it keeps is read-only. It holds no reference
     to a system, so the memo keeps no system alive. _moments holds the filter
-    moments of ctsid.filtering, per (family, rho, quad_panels, quad_nodes).
+    moments of ctsid.filtering, per (family, rho, quad_panels).
     """
 
     aug: np.ndarray
@@ -140,8 +140,8 @@ class DiscreteSystem:
         distinct, index = np.unique(offsets, return_inverse=True)
         return expm(self.aug * distinct[:, None, None])[index, : self.n]
 
-    def nodes(self, panels: int, nodes: int):
-        """(taus, ws, tops) of composite Gauss-Legendre quadrature on [0, T].
+    def nodes(self, panels: int):
+        """(taus, ws, tops) of composite 16-node Gauss-Legendre on [0, T].
 
         tops[i] is at(taus[i])[0]. The nodes are tau = p h + c_i with
         h = T / panels, so by the semigroup property
@@ -149,12 +149,12 @@ class DiscreteSystem:
         first panel's nodes and h, then a chain of panel powers. Rounding
         grows along the chain by up to ||e^{M h}||^p; the tests hold it
         within 1e-12 relative of per-node exponentials for stiff, unstable
-        and random A up to ||A|| T = 20. Memoized per (panels, nodes).
+        and random A up to ||A|| T = 20. Memoized per panel count.
         """
-        if (panels, nodes) in self._nodes:
-            return self._nodes[panels, nodes]
+        if panels in self._nodes:
+            return self._nodes[panels]
+        aug, n, nodes = self.aug, self.n, 16
         taus, ws = gauss_legendre_panels(0.0, self.T, panels, nodes)
-        aug, n = self.aug, self.n
         local = expm(aug * np.append(taus[:nodes], self.T / panels)[:, None, None])
         local, step = local[:nodes], local[nodes]
         powers = [np.eye(aug.shape[0])]
@@ -167,7 +167,7 @@ class DiscreteSystem:
             raise NumericalError("panel-power propagators overflowed (e^{A T} too large)")
         for arr in (taus, ws, tops):
             arr.setflags(write=False)
-        self._nodes[panels, nodes] = taus, ws, tops
+        self._nodes[panels] = taus, ws, tops
         return taus, ws, tops
 
 

@@ -73,7 +73,6 @@ def filter_signal(
                 a,
                 b,
                 panels=config.quad_panels,
-                nodes=config.quad_nodes,
             )
             total += val
         out[:, ell - 1] = total
@@ -95,7 +94,6 @@ def filtered_input_data(
                 j * bank.T,
                 (j + 1) * bank.T,
                 panels=config.quad_panels,
-                nodes=config.quad_nodes,
             )
             out[:, ell - 1] += float(val) * inp.levels[:, j]
     return out
@@ -127,7 +125,6 @@ def filtered_derivative_data(
                 a,
                 b,
                 panels=config.quad_panels,
-                nodes=config.quad_nodes,
             )
             total += g_left * xb - g_right_of_a * xa - val
         out[:, ell - 1] = total

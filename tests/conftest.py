@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import ctsid.linalg
 import ctsid.ltisim as ltisim
 from ctsid import (
     LtiSystem,
@@ -18,6 +21,29 @@ def cold_propagator_memo():
     (A, B, T) across systems, so counts of exponentials, rule builds and
     transitions would otherwise depend on the tests run before."""
     ltisim._propagators.clear()
+
+
+@pytest.fixture
+def expm_calls(monkeypatch) -> list:
+    """Records every linalg.expm call as (calling module's name, argument).
+
+    Patches every loaded ctsid module that binds expm, found from
+    sys.modules: a hand-written list of modules could name one that only
+    imports expm, miss the one that calls it, and pass a count of zero."""
+    calls: list = []
+    original = ctsid.linalg.expm
+
+    def recorder(module):
+        def expm(a):
+            calls.append((module, np.array(a)))
+            return original(a)
+
+        return expm
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "ctsid" and getattr(mod, "expm", None) is original:
+            monkeypatch.setattr(mod, "expm", recorder(name))
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import ctsid.aircraft as aircraft
-import ctsid.filtering
-import ctsid.linalg
+import ctsid.filters
 import ctsid.ltisim
 from ctsid import (
     FilteredDataset,
@@ -48,6 +47,14 @@ RHO = {
 
 def bank_of(family, M=6, N=6):
     return make_filter_bank(family, RHO[family], T, M, N)
+
+
+@pytest.fixture
+def decay_family(monkeypatch):
+    """A fifth family, "decay", added as one _SPECS entry and nowhere else:
+    a decaying exponential of amplitude 1."""
+    decay = ctsid.filters._exponential(lambda rho: 1.0, -1)
+    monkeypatch.setitem(ctsid.filters._SPECS, "decay", decay)
 
 
 class TestQuadPiece:
@@ -227,7 +234,7 @@ class TestFilterLtiDataset:
         assert np.allclose(fd.x_df, filtered_derivative_data(bank, f), atol=1e-9)
 
     def test_coarse_config_still_close(self, aircraft_system, aircraft_input):
-        cfg = NumericConfig(quad_panels=2, quad_nodes=8)
+        cfg = NumericConfig(quad_panels=2)
         fd = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("bump_test"), config=cfg)
         ref = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("bump_test"))
         assert np.max(np.abs(fd.x_f - ref.x_f)) <= 1e-6 * (1 + np.max(np.abs(ref.x_f)))
@@ -237,18 +244,18 @@ class TestFilterLtiDataset:
         with pytest.raises(ValidationError, match=r"N=6, M=8"):
             filter_lti_dataset(aircraft_system, aircraft_input, bank_of(family, M=8, N=6))
 
-    @pytest.mark.parametrize("family", ("lowpass", "laguerre", "poly_test"))
+    @pytest.mark.parametrize("family", ("lowpass", "laguerre", "poly_test", "decay"))
     @pytest.mark.parametrize("period", (0.01, 0.1, 1.0))
     @pytest.mark.parametrize("rho", (0.1, 1.0, 10.0))
-    def test_closed_form_moments_match_quadrature(self, family, period, rho, aircraft_system):
+    def test_closed_form_moments_match_quadrature(
+        self, family, period, rho, aircraft_system, decay_family
+    ):
         """The closed-form interval moments agree with fine Gauss-Legendre."""
         decomp = decompose(make_filter_bank(family, rho, period, 6, 6))
         (g_x, _, g_int), _ = _interval_moments(aircraft_system, decomp.bank)
         rel = build_relation_matrices(aircraft_system, decomp, NumericConfig(quad_panels=32))
-        # lowpass moments belong to g(tau) = e^{rho (tau - T)}, e^{-rho T} times decompose's g
-        scale = np.exp(-rho * period) if family == "lowpass" else 1.0
-        ref = scale * np.hstack([rel.a_bar, rel.b_bar])
-        g_ref = scale * rel.g_bar[0, 0]
+        ref = np.hstack([rel.a_bar, rel.b_bar])
+        g_ref = rel.g_bar[0, 0]
         assert np.linalg.norm(g_x - ref) <= 1e-12 * np.linalg.norm(ref)
         assert abs(g_int - g_ref) <= 1e-12 * abs(g_ref)
 
@@ -266,6 +273,33 @@ class TestFilterLtiDataset:
         assert res.informative
         rel = verify_algebraic(fd, aircraft_system) / np.linalg.norm(fd.x_df)
         assert rel <= 1e-12 * max(1.0, rho_t)
+
+    def test_fifth_family_is_one_spec_entry(self, decay_family, aircraft_system, aircraft_input):
+        bank = make_filter_bank("decay", 1.0, T, 6, 6)
+        fd = filter_lti_dataset(aircraft_system, aircraft_input, bank)
+        res = identify(fd, 4, 2, truth=aircraft_system)
+        ab = np.hstack([aircraft_system.a, aircraft_system.b])
+        assert res.informative and res.frobenius_error <= 1e-10 * np.linalg.norm(ab)
+        rel = build_relation_matrices(aircraft_system, decompose(bank))
+        sd = simulate_sampled(aircraft_system, aircraft_input)
+        assert factorization_residual(fd, sd, rel) <= 1e-10
+
+    @pytest.mark.parametrize("rho_t", (720.0, 1e3, 1e4))
+    def test_lowpass_relation_matrices_in_range(self, rho_t, aircraft_system, aircraft_input):
+        """The relation matrices take the spec's split, so they stay finite
+        where the paper's split overflows (its g carries e^{rho T}). g is a
+        spike of width 1/rho at the end of the interval: the factorization
+        holds once the panels resolve it, which the default 8 do not."""
+        bank = make_filter_bank("lowpass", rho_t / T, T, 6, 6)
+        rel = build_relation_matrices(aircraft_system, decompose(bank))
+        for mat in (rel.a_bar, rel.b_bar, rel.g_bar, rel.f_bar):
+            assert np.all(np.isfinite(mat))
+        if rho_t <= 1e3:
+            fine = build_relation_matrices(aircraft_system, decompose(bank),
+                                           NumericConfig(quad_panels=64))
+            fd = filter_lti_dataset(aircraft_system, aircraft_input, bank)
+            sd = simulate_sampled(aircraft_system, aircraft_input)
+            assert factorization_residual(fd, sd, fine) <= 1e-12
 
     @pytest.mark.parametrize("rho", (2.0, 100.0, 690.0, 699.0))
     def test_bump_exact_to_the_edge_of_double_precision(self, rho, aircraft_system, aircraft_input):
@@ -354,7 +388,7 @@ class TestNodePropagators:
             for n in (4, 10):
                 sys_ = _gate_system(kind, n, norm_t, period, rng)
                 for panels in (8, 16):
-                    taus, _, tops = discretize(sys_, period).nodes(panels, 16)
+                    taus, _, tops = discretize(sys_, period).nodes(panels)
                     ref = np.array([np.hstack(transition(sys_, float(t))) for t in taus])
                     err = np.linalg.norm(tops - ref) / np.linalg.norm(ref)
                     assert err <= 1e-12, (period, n, panels, err)
@@ -363,7 +397,7 @@ class TestNodePropagators:
         # e^{800} overflows in discretize's e^{A T}, before any node is built
         sys_ = LtiSystem(a=np.array([[800.0]]), b=np.ones((1, 1)), x0=np.zeros(1))
         with pytest.raises(NumericalError, match="expm overflowed"):
-            discretize(sys_, 1.0).nodes(8, 16)
+            discretize(sys_, 1.0).nodes(8)
 
     def test_panel_chain_overflow_is_loud(self):
         # e^{M h} and the first panel's nodes are at most e^{100}, but the
@@ -371,7 +405,7 @@ class TestNodePropagators:
         aug = np.array([[800.0, 1.0], [0.0, 0.0]])
         prop = DiscreteSystem(aug=aug, n=1, T=1.0, a_t=np.eye(1), b_t=np.zeros((1, 1)))
         with pytest.raises(NumericalError, match="panel-power propagators overflowed"):
-            prop.nodes(8, 16)
+            prop.nodes(8)
 
 
 class TestLowpassRealization:
@@ -450,20 +484,6 @@ class TestRelationMatrices:
                 assert verify_algebraic(fd, sys_) <= 1e-9 * max(1.0, np.linalg.norm(fd.x_df))
 
 
-def count_expm(monkeypatch) -> list:
-    """Record every linalg.expm call, under each module name that binds it."""
-    calls: list = []
-    original = ctsid.linalg.expm
-
-    def counting(a):
-        calls.append(np.shape(a))
-        return original(a)
-
-    for mod in (ctsid.linalg, ctsid.ltisim, ctsid.filtering):
-        monkeypatch.setattr(mod, "expm", counting)
-    return calls
-
-
 class TestScaledResiduals:
     """The residuals on the aircraft reference input with x0 and the levels
     scaled by 2^k. np.linalg.norm squared the entries: every residual read
@@ -522,7 +542,7 @@ class TestPropagatorMemo:
         rng = np.random.default_rng(31)
         plants = [random_controllable_system(rng, n=4, m=2, T=T) for _ in range(3)]
         levels = rng.uniform(-1, 1, size=(2, 6))
-        configs = (NumericConfig(), NumericConfig(quad_panels=6, quad_nodes=12))
+        configs = (NumericConfig(), NumericConfig(quad_panels=6))
 
         def run(sys_, period, config):
             inp = PiecewiseConstantInput(T=period, levels=levels)
@@ -547,14 +567,13 @@ class TestPropagatorMemo:
             for got, ref in zip(run(fresh, period, configs[c]), cold[i, period, c]):
                 assert np.array_equal(got, ref), (i, period, c)
 
-    def test_second_relation_build_makes_no_expm_call(self, monkeypatch):
-        calls = count_expm(monkeypatch)
+    def test_second_relation_build_makes_no_expm_call(self, expm_calls):
         sys_ = aircraft.system()
         build_relation_matrices(sys_, decompose(bank_of("lowpass")))
-        first = len(calls)
+        first = len(expm_calls)
         assert first > 0
         build_relation_matrices(sys_, decompose(bank_of("poly_test")))
-        assert len(calls) == first
+        assert len(expm_calls) == first
 
     @pytest.mark.parametrize("moved", ("A", "B", "T"))
     def test_one_ulp_apart_gets_its_own_propagator(self, moved):
@@ -596,17 +615,15 @@ class TestPropagatorMemo:
                 assert all(np.array_equal(g, x) for g, x in zip(got, r)), bank
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_moments_are_built_once_and_read_only(self, family, monkeypatch):
+    def test_moments_are_built_once_and_read_only(self, family, expm_calls):
         sys_ = aircraft.system()
         bank = bank_of(family)
         first = _interval_moments(sys_, bank)
-        calls = count_expm(monkeypatch)
+        expm_calls.clear()
         assert _interval_moments(aircraft.system(), bank) is first
-        assert calls == []
+        assert expm_calls == []
         # every quadrature setting has its own entry, also where it is unused
-        others = {id(_interval_moments(sys_, bank, NumericConfig(**kw)))
-                  for kw in ({"quad_nodes": 8}, {"quad_panels": 4})}
-        assert id(first) not in others and len(others) == 2
+        assert _interval_moments(sys_, bank, NumericConfig(quad_panels=4)) is not first
         for g_x, gd_x, _ in first:
             for arr in (g_x, gd_x):
                 with pytest.raises(ValueError):

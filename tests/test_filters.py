@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,14 @@ class TestFilterBank:
             make_filter_bank("boxcar", 1.0, T, 6, 6)
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ValidationError):
-            make_filter_bank("lowpass", -1.0, T, 6, 6)
-        with pytest.raises(ValidationError):
-            make_filter_bank("lowpass", 1.0, T, 0, 6)
+        # non-finite rho or T once gave all-NaN data, and a fractional M one
+        # more filter than the bank records
+        cases = [(-1.0, T, 6, 6), (1.0, T, 0, 6), (math.nan, T, 6, 6), (math.inf, T, 6, 6),
+                 (1.0, math.nan, 6, 6), (1.0, math.inf, 6, 6), (1.0, T, 2.5, 6), (1.0, T, 6, 6.0)]
+        for family in ("lowpass", "poly_test"):
+            for rho, period, M, N in cases:
+                with pytest.raises(ValidationError):
+                    make_filter_bank(family, rho, period, M, N)
 
     def test_support_intervals(self):
         assert list(bank_of("poly_test").support_intervals(3)) == [2]

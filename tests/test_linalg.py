@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import ctsid.aircraft as aircraft
-import ctsid.filtering
 from ctsid import (
     NumericalError,
     PiecewiseConstantInput,
@@ -238,22 +237,15 @@ class TestExpmAccuracy:
     matrices up to ||A||_F = 100."""
 
     @pytest.mark.parametrize("period", (0.01, 0.1, 1.0))
-    def test_pipeline_matrices(self, period, monkeypatch):
+    def test_pipeline_matrices(self, period, expm_calls):
         # M T, and the matrices whose exponentials give the closed-form
         # filter moments: the poly_test chain and the laguerre and lowpass
-        # Van Loan blocks, as filtering builds them
-        blocks = []
-        original = ctsid.filtering.expm
-
-        def recording(a):
-            blocks.append(np.array(a))
-            return original(a)
-
-        monkeypatch.setattr(ctsid.filtering, "expm", recording)
+        # Van Loan blocks, as the family specs build them
         sys_ = aircraft.system()
         inp = PiecewiseConstantInput(T=period, levels=aircraft.reference_input().levels)
         for family, rho in (("poly_test", 10.0 / period**5), ("laguerre", 1.0), ("lowpass", 1.0)):
             filter_lti_dataset(sys_, inp, make_filter_bank(family, rho, period, 6, 6))
+        blocks = [a for module, a in expm_calls if module == "ctsid.filters"]
         assert [b.shape for b in blocks] == [(36, 36), (12, 12), (12, 12)]
         for a in (discretize(sys_, period).aug * period, *blocks):
             ref = mp_expm(a)

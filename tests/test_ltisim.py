@@ -142,7 +142,7 @@ class TestDiscretize:
 
     def test_shared_arrays_are_read_only(self, aircraft_system):
         d = discretize(aircraft_system, aircraft.T)
-        _, _, tops = d.nodes(8, 16)
+        _, _, tops = d.nodes(8)
         for arr in (d.a_t, d.b_t, d.aug, tops):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
@@ -150,7 +150,7 @@ class TestDiscretize:
     def test_system_is_freed_without_gc(self, aircraft_system):
         sys_ = LtiSystem(a=aircraft_system.a, b=aircraft_system.b, x0=aircraft_system.x0)
         ref = weakref.ref(sys_)
-        discretize(sys_, aircraft.T).nodes(8, 16)
+        discretize(sys_, aircraft.T).nodes(8)
         del sys_
         assert ref() is None
 

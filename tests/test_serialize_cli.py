@@ -279,6 +279,25 @@ class TestCli:
             assert not ver[name]["passed"], name
             assert ver[name]["detail"].startswith("cannot judge"), name
 
+    def test_non_finite_rho_exits_2(self, tmp_path, capsys):
+        # the filter command once wrote a filtered_dataset.json full of NaN
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**AIRCRAFT_CFG, "filter": {**AIRCRAFT_CFG["filter"],
+                                                              "rho": float("nan")}}))
+        out = tmp_path / "o"
+        assert main(["filter", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "rho and T must be finite and positive" in capsys.readouterr().err
+        assert not (out / "filtered_dataset.json").exists()
+
+    def test_verify_lowpass_at_large_rho_t(self, tmp_path, capsys):
+        """At rho T = 1000 the relation matrices once overflowed, and the
+        factorization row read "relative residual nan" (exit 4). 64 panels
+        resolve lowpass g, a spike of width 1/rho; the default 8 do not."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**AIRCRAFT_CFG, "filter": {"family": "lowpass", "rho": 1e4}}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--panels", "64"]) == 0, capsys.readouterr().out
+
     def test_verify_filtered_with_m_above_n_exits_2(self, aircraft_config, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["filter", "--config", str(aircraft_config), "--out", str(out)]) == 0
