@@ -7,7 +7,6 @@ oracles (RK4, quadrature filtering, low-pass ODE realization) from
 ctsid.oracles, which this package does not import.
 """
 
-from .config import NumericConfig
 from .design import (
     CyclingPolicy,
     DesignResult,
@@ -67,7 +66,6 @@ __all__ = [
     "IdentificationResult",
     "KernelCertificate",
     "LtiSystem",
-    "NumericConfig",
     "NumericalError",
     "PiecewiseConstantInput",
     "RankReport",

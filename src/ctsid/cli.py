@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import aircraft
-from .config import NumericConfig
 from .design import (
     CyclingPolicy,
     SeededRandomPolicy,
@@ -67,7 +66,6 @@ from .sysid import identify
 _OVERRIDES = {
     "seed": ("design", "seed", int),
     "rtol": ("numeric", "rank_rtol", float),
-    "panels": ("numeric", "quad_panels", int),
     "family": ("filter", "family", str),
     "rho": ("filter", "rho", float),
     "T": (None, "T", float),
@@ -85,16 +83,15 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _numeric(cfg: dict) -> tuple[NumericConfig, float]:
-    """The quadrature settings and numeric.rank_rtol, the rtol= of every rank verdict."""
-    num = cfg.get("numeric", {})
+def _rtol(cfg: dict) -> float:
+    """numeric.rank_rtol, the rtol= of every rank verdict."""
     try:
-        rtol = float(num.get("rank_rtol", 1e-8))
-        if not rtol > 0:
-            raise ValueError("rank_rtol must be positive")
-        return NumericConfig(quad_panels=int(num.get("quad_panels", 8))), rtol
+        rtol = float(cfg.get("numeric", {}).get("rank_rtol", 1e-8))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    if not rtol > 0:
+        raise ValidationError("rank_rtol must be positive")
+    return rtol
 
 
 def _system(cfg: dict) -> tuple[LtiSystem, float]:
@@ -169,7 +166,7 @@ def cmd_simulate(args) -> int:
 def cmd_design(args) -> int:
     cfg = _load_config(args)
     sys_, T = _system(cfg)
-    _, rtol = _numeric(cfg)
+    rtol = _rtol(cfg)
     ok, offending = check_nonpathological(sys_, T)
     if not ok:
         raise DesignFailureError(
@@ -193,14 +190,13 @@ def cmd_design(args) -> int:
 def cmd_filter(args) -> int:
     cfg = _load_config(args)
     sys_, T = _system(cfg)
-    num, _ = _numeric(cfg)
     if args.dataset:
         sd = sampled_dataset_from_dict(read_json(args.dataset))
         inp = PiecewiseConstantInput(T=sd.T, levels=sd.mu)
     else:
         inp = _input(cfg, T)
     bank = _bank(cfg, inp.T, inp.N, sys_.n, sys_.m)
-    fd = filter_lti_dataset(sys_, inp, bank, num)
+    fd = filter_lti_dataset(sys_, inp, bank)
     out = _outdir(args)
     write_json(out / "filtered_dataset.json", filtered_dataset_to_dict(fd))
     print(f"wrote {out / 'filtered_dataset.json'}")
@@ -214,7 +210,7 @@ def cmd_identify(args) -> int:
     n, m = fd.x_f.shape[0], fd.u_f.shape[0]
     if cfg.get("system"):
         truth, _ = _system(cfg)
-    result = identify(fd, n, m, rtol=_numeric(cfg)[1], truth=truth)
+    result = identify(fd, n, m, rtol=_rtol(cfg), truth=truth)
     out = _outdir(args)
     write_json(out / "identification.json", identification_result_to_dict(result))
     print(f"rank {result.stacked_rank.rank} of {n + m} "
@@ -251,17 +247,17 @@ def _report(rows: list[tuple[str, bool, str]]) -> None:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     sys_, T = _system(cfg)
-    num, rtol = _numeric(cfg)
+    rtol = _rtol(cfg)
     inp = _input(cfg, T)
     bank = _bank(cfg, T, inp.N, sys_.n, sys_.m)
-    rel = build_relation_matrices(sys_, decompose(bank, inp.N), num)
+    rel = build_relation_matrices(sys_, decompose(bank, inp.N))
     if args.filtered:
         fd = filtered_dataset_from_dict(read_json(args.filtered))
         filtered_by = make_filter_bank(fd.family, fd.rho, fd.T, fd.M, bank.N)
         if filtered_by != bank:
             raise ValidationError(f"{args.filtered} was filtered by {filtered_by}, not by {bank}")
     else:
-        fd = filter_lti_dataset(sys_, inp, bank, num)
+        fd = filter_lti_dataset(sys_, inp, bank)
     sd = simulate_sampled(sys_, inp)
     s_sampled, s_filtered = sd.stacked(), fd.stacked()
 
@@ -321,6 +317,8 @@ def cmd_filters_plot_data(args) -> int:
     cfg = _load_config(args)
     fc = cfg.get("filter", {})
     family, M = fc.get("family", "poly_test"), int(fc.get("M", 3))
+    if args.points < 1:
+        raise ValidationError(f"--points must be >= 1, not {args.points}")
     bank = make_filter_bank(family, float(fc.get("rho", 1.0)), float(cfg.get("T", 1.0)), M,
                             max(M, int(cfg.get("N", 3))))
     grid = np.linspace(0.0, bank.horizon, args.points, endpoint=False)
@@ -348,12 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     command(sub, "simulate", cmd_simulate, "simulate sampled data and a dense trajectory")
     command(sub, "design", cmd_design, "run the online experiment design", "seed", "rtol")
-    command(sub, "filter", cmd_filter, "produce a filtered dataset", "panels").add_argument(
+    command(sub, "filter", cmd_filter, "produce a filtered dataset").add_argument(
         "--dataset", help="sampled-dataset JSON to take the input from")
     command(sub, "identify", cmd_identify, "identify (A, B) from a filtered dataset",
             "rtol").add_argument("data", help="filtered-dataset JSON file")
-    command(sub, "verify", cmd_verify, "run the verification checks", "seed", "rtol",
-            "panels").add_argument("--filtered", help="filtered-dataset JSON to verify")
+    command(sub, "verify", cmd_verify, "run the verification checks", "seed", "rtol"
+            ).add_argument("--filtered", help="filtered-dataset JSON to verify")
     sub.add_parser("demo-aircraft", help="reproduce the aircraft example end-to-end"
                    ).set_defaults(func=cmd_demo_aircraft)
     fsub = sub.add_parser("filters", help="filter-function utilities").add_subparsers(

@@ -30,11 +30,11 @@ quadrature oracles live in ctsid.oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import NumericalError, ValidationError
 from .filters import Decomposition, FilterBank
 from .linalg import _frobenius
@@ -108,11 +108,7 @@ def _check_input(bank: FilterBank, inp: PiecewiseConstantInput) -> None:
         raise ValidationError("input shorter than the filter horizon")
 
 
-def _interval_moments(
-    sys: LtiSystem,
-    bank: FilterBank,
-    config: NumericConfig = DEFAULT_CONFIG,
-):
+def _interval_moments(sys: LtiSystem, bank: FilterBank):
     """Moments of the interval filter g against the augmented exponential.
 
     With M = [[A, B], [0, 0]], returns the pair (fine, coarse) of triples
@@ -120,12 +116,12 @@ def _interval_moments(
     G = int_0^T g(tau) e^{M tau} dtau and G'_x the same with g'. The lower
     rows of G are [0, (int g) I]. The spec's closed-form moments are exact up
     to rounding, so coarse is fine; without them, fine and coarse are
-    composite Gauss-Legendre at 2 * quad_panels and quad_panels. Built once
-    per (family, rho, quad_panels) and kept, as read-only arrays, on the one
+    composite Gauss-Legendre at twice and once the bank's panel count. Built
+    once per (family, rho) and kept, as read-only arrays, on the one
     propagator of (A, B, T), ltisim.discretize.
     """
     prop = discretize(sys, bank.T)
-    key = (bank.family, bank.rho, config.quad_panels)
+    key = (bank.family, bank.rho)
     if key in prop._moments:
         return prop._moments[key]
     spec, rho, T = bank._spec, bank.rho, bank.T
@@ -140,7 +136,7 @@ def _interval_moments(
                 float(np.sum(wg)),
             )
 
-        moments = quadrature(2 * config.quad_panels), quadrature(config.quad_panels)
+        moments = quadrature(2 * bank._panels), quadrature(bank._panels)
     else:
         g_full, gd_full = spec.moments(prop.aug, rho, T)
         moments = ((g_full[:prop.n], gd_full[:prop.n], float(g_full[prop.n, prop.n])),) * 2
@@ -155,7 +151,6 @@ def filter_lti_dataset(
     sys: LtiSystem,
     inp: PiecewiseConstantInput,
     bank: FilterBank,
-    config: NumericConfig = DEFAULT_CONFIG,
 ) -> FilteredDataset:
     """Full filtered dataset for an LTI trajectory, through the factorization.
 
@@ -171,8 +166,8 @@ def filter_lti_dataset(
     filter's largest F_bar coefficient is below the smallest normal double,
     its data would vanish or lose precision, and NumericalError is raised
     instead. quadrature_report holds |fine - coarse| per matrix: exact zeros
-    for closed-form moments, else the panel-doubling difference, the only
-    place ``config`` matters. Requires N >= M and inp.T equal to bank.T.
+    for closed-form moments, else the panel-doubling difference. Requires
+    N >= M and inp.T equal to bank.T.
     """
     bank._require_n_ge_m(bank.N)
     _check_input(bank, inp)
@@ -196,7 +191,7 @@ def filter_lti_dataset(
             g_end * next_f - g_0 * s_f[:n] - gd_x @ s_f,
         )
 
-    fine_moments, coarse_moments = _interval_moments(sys, bank, config)
+    fine_moments, coarse_moments = _interval_moments(sys, bank)
     fine = data(fine_moments)
     coarse = fine if coarse_moments is fine_moments else data(coarse_moments)
     report = {
@@ -215,18 +210,14 @@ def filter_lti_dataset(
     )
 
 
-def build_relation_matrices(
-    sys: LtiSystem,
-    decomp: Decomposition,
-    config: NumericConfig = DEFAULT_CONFIG,
-) -> RelationMatrices:
+def build_relation_matrices(sys: LtiSystem, decomp: Decomposition) -> RelationMatrices:
     """A_bar = int g(tau) e^{A tau}, B_bar = int g(tau) (int_0^tau e^{A s} B ds),
-    G_bar = I * int g by Gauss-Legendre, and F_bar, in the spec's split of
-    decomp's bank: C_bar F_bar is the paper's, and every factor stays in
-    floating-point range wherever filtering does. Verification path only
-    (needs the ground-truth A, B)."""
+    G_bar = I * int g by Gauss-Legendre at the bank's panel count, and F_bar,
+    in the spec's split of decomp's bank: C_bar F_bar is the paper's, and
+    every factor stays in floating-point range wherever filtering does.
+    Verification path only (needs the ground-truth A, B)."""
     bank = decomp.bank
-    taus, ws, tops = discretize(sys, bank.T).nodes(config.quad_panels)
+    taus, ws, tops = discretize(sys, bank.T).nodes(bank._panels)
     gv = bank._spec.g(bank.rho, bank.T, taus)
     g_top = np.tensordot(ws * gv, tops, axes=1)
     a_bar, b_bar = g_top[:, : sys.n], g_top[:, sys.n :]
@@ -242,11 +233,13 @@ def build_relation_matrices(
 def factorization_residual(
     fd: FilteredDataset, sd: SampledDataset, rel: RelationMatrices
 ) -> float:
-    """Relative Frobenius residual of [x_f; u_f] = C_bar [chi; mu] F_bar."""
+    """Relative Frobenius residual of [x_f; u_f] = C_bar [chi; mu] F_bar;
+    inf when [x_f; u_f] is zero, which leaves nothing to judge."""
     lhs = fd.stacked()
-    rhs = rel.c_bar @ sd.stacked() @ rel.f_bar
-    denom = max(_frobenius(lhs), 1e-300)
-    return float(_frobenius(lhs - rhs) / denom)
+    norm = _frobenius(lhs)
+    if norm == 0.0:
+        return math.inf
+    return float(_frobenius(lhs - rel.c_bar @ sd.stacked() @ rel.f_bar) / norm)
 
 
 def verify_algebraic(fd: FilteredDataset, sys: LtiSystem) -> float:

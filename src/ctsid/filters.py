@@ -18,8 +18,9 @@ coefficient c, and F_bar[j, l-1] = c(j - l + 1). Each family is one _Spec
 in _SPECS, the only place its formulas live, from which all else derives:
 g and g' on [0, T] (g(T) is the left limit g(T^-)), c, the lags where c can
 be nonzero, the scale s of the paper's split (decompose: g = s g_spec,
-f_l(jT) = c(d) / s) and the moments G = int_0^T g(tau) e^{M tau} dtau and
-G' (with g') for M = [[A, B], [0, 0]].
+f_l(jT) = c(d) / s), the moments G = int_0^T g(tau) e^{M tau} dtau and
+G' (with g') for M = [[A, B], [0, 0]], and the e-folds g makes over [0, T],
+from which FilterBank._panels takes the panel count of every quadrature of g.
 
 The spec's split keeps every factor in floating-point range: lowpass
 g(tau) = e^{rho (tau - T)} with c(d) = e^{rho d T} <= 1, bump_test g(0) = 1
@@ -57,6 +58,7 @@ class _Spec:
     lags: tuple[float, float]  # c(d) can be nonzero only for lags[0] <= d <= lags[1]
     scale: Callable  # (rho, T) -> s; the paper's split is g = s g_spec, f = c / s
     moments: Callable | None  # (aug, rho, T) -> (G, G'); None: Gauss-Legendre of g and g'
+    rate: Callable  # (rho, T) -> the e-folds g makes over [0, T], which set the panel count
 
 
 def _bump_g(rho, T, tau):
@@ -116,6 +118,7 @@ def _exponential(amplitude: Callable, sign: int) -> _Spec:
         lags=(-math.inf, 0) if grows else (0, math.inf),
         scale=lambda rho, T: np.exp(sign * rho * tau_0(T)),
         moments=moments,
+        rate=lambda rho, T: rho * T,
     )
 
 
@@ -127,6 +130,7 @@ _SPECS = {
         lags=(0, 0),
         scale=lambda rho, T: 1.0,
         moments=_poly_moments,
+        rate=lambda rho, T: 0.0,
     ),
     "bump_test": _Spec(
         g=_bump_g,
@@ -135,6 +139,7 @@ _SPECS = {
         lags=(0, 0),
         scale=lambda rho, T: np.exp(-rho),
         moments=None,
+        rate=lambda rho, T: 0.0,
     ),
     "laguerre": _exponential(lambda rho: np.sqrt(2 * rho), -1),
     "lowpass": _exponential(lambda rho: 1.0, 1),
@@ -169,6 +174,16 @@ class FilterBank:
     @property
     def _spec(self) -> _Spec:
         return _SPECS[self.family]
+
+    @property
+    def _panels(self) -> int:
+        """Gauss-Legendre panels (16 nodes each) per sampling interval for
+        quadrature of g: the fewest 8 * 2^k that keep each panel within 16
+        e-folds of g, at most 1024."""
+        rate, panels = self._spec.rate(self.rho, self.T), 8
+        while rate > 16 * panels and panels < 1024:
+            panels *= 2
+        return panels
 
     def support_intervals(self, ell: int) -> range:
         """Indices j such that [jT, (j+1)T) lies inside supp(g_ell)."""

@@ -65,6 +65,11 @@ class LtiSystem:
         return self.b.shape[1]
 
 
+def _check_period(T: float) -> None:
+    if not 0 < T < np.inf:  # nan fails too
+        raise ValidationError("T must be finite and positive")
+
+
 @dataclass(frozen=True)
 class PiecewiseConstantInput:
     """Sampling period T and levels mu_0 ... mu_{N-1}; u(t + kT) = mu_k.
@@ -78,8 +83,7 @@ class PiecewiseConstantInput:
     _sampled: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValidationError("T must be positive")
+        _check_period(self.T)
         lv = np.atleast_2d(np.array(self.levels, dtype=float))
         if lv.size == 0 or not np.all(np.isfinite(lv)):
             raise ValidationError("input levels must be nonempty and finite")
@@ -119,7 +123,7 @@ class DiscreteSystem:
     e^{M tau} inside an interval. discretize shares one instance per value
     of (A, B, T), so every array it keeps is read-only. It holds no reference
     to a system, so the memo keeps no system alive. _moments holds the filter
-    moments of ctsid.filtering, per (family, rho, quad_panels).
+    moments of ctsid.filtering, per (family, rho).
     """
 
     aug: np.ndarray
@@ -275,8 +279,7 @@ def discretize(sys: LtiSystem, T: float) -> DiscreteSystem:
     B_T = int_0^T e^{At} B dt. Built once per value of (A, B, T): the key
     is the shapes and bytes of a and b and T, so every system of one plant
     shares it, whatever its x0. The last _PROPAGATORS_KEPT are kept."""
-    if T <= 0:
-        raise ValidationError("T must be positive")
+    _check_period(T)
     key = (sys.a.shape, sys.b.shape, sys.a.tobytes(), sys.b.tobytes(), T)
     with _propagators_lock:
         prop = _propagators.pop(key, None)
@@ -335,8 +338,7 @@ def check_nonpathological(sys: LtiSystem, T: float) -> tuple[bool, list[tuple[in
     discretized pair. Returns (ok, offending (j, l, q) list). Requires the
     ground-truth A, so this is a verification-path check only.
     """
-    if T <= 0:
-        raise ValidationError("T must be positive")
+    _check_period(T)
     base = 2.0 * np.pi / T
     tol = 1e-9 * base
     lam = np.linalg.eigvals(sys.a)

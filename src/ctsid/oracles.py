@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, NumericConfig
 from .errors import ValidationError
 from .filtering import _check_input
 from .filters import FilterBank, eval_g, eval_g_deriv, left_limit_g
 from .ltisim import LtiSystem, PiecewiseConstantInput, Trajectory, gauss_legendre_panels
 
 
-def quad_piece(f, a: float, b: float, panels: int | None = None, nodes: int = 16):
+def quad_piece(f, a: float, b: float, panels: int = 8, nodes: int = 16):
     """Composite Gauss-Legendre integral of a smooth (vector-valued) function.
 
     Returns (value, error_estimate) where the estimate is the difference
@@ -34,7 +33,6 @@ def quad_piece(f, a: float, b: float, panels: int | None = None, nodes: int = 16
     """
     if not a < b:
         raise ValidationError("require a < b")
-    panels = DEFAULT_CONFIG.quad_panels if panels is None else panels
 
     def run(p):
         ts, ws = gauss_legendre_panels(a, b, p, nodes)
@@ -48,12 +46,7 @@ def quad_piece(f, a: float, b: float, panels: int | None = None, nodes: int = 16
     return fine, float(np.max(np.abs(fine - coarse)))
 
 
-def filter_signal(
-    bank: FilterBank,
-    w,
-    extra_splits=(),
-    config: NumericConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
+def filter_signal(bank: FilterBank, w, extra_splits=()) -> np.ndarray:
     """Generic path of the filtering map: w_f[:, l-1] = int g_l w.
 
     ``w`` is evaluated pointwise; integration proceeds piecewise between
@@ -72,18 +65,14 @@ def filter_signal(
                 lambda t: eval_g(bank, ell, t) * np.atleast_1d(np.asarray(w(t), dtype=float)),
                 a,
                 b,
-                panels=config.quad_panels,
+                panels=bank._panels,
             )
             total += val
         out[:, ell - 1] = total
     return out
 
 
-def filtered_input_data(
-    bank: FilterBank,
-    inp: PiecewiseConstantInput,
-    config: NumericConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
+def filtered_input_data(bank: FilterBank, inp: PiecewiseConstantInput) -> np.ndarray:
     """u_f exactly, as sum_j (int_{jT}^{(j+1)T} g_l) mu_j over the support."""
     _check_input(bank, inp)
     out = np.zeros((inp.m, bank.M))
@@ -93,17 +82,13 @@ def filtered_input_data(
                 lambda t: eval_g(bank, ell, t),
                 j * bank.T,
                 (j + 1) * bank.T,
-                panels=config.quad_panels,
+                panels=bank._panels,
             )
             out[:, ell - 1] += float(val) * inp.levels[:, j]
     return out
 
 
-def filtered_derivative_data(
-    bank: FilterBank,
-    state,
-    config: NumericConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
+def filtered_derivative_data(bank: FilterBank, state) -> np.ndarray:
     """x_df by integration by parts; ``state`` maps t in [0, N*T] to x(t).
 
     The state must be continuous (it is, for any trajectory of the plant),
@@ -124,7 +109,7 @@ def filtered_derivative_data(
                 * np.atleast_1d(np.asarray(state(t), dtype=float)),
                 a,
                 b,
-                panels=config.quad_panels,
+                panels=bank._panels,
             )
             total += g_left * xb - g_right_of_a * xa - val
         out[:, ell - 1] = total

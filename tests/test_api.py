@@ -65,8 +65,8 @@ def test_all_lists_the_public_names():
     assert sorted(ctsid.__all__) == sorted(public_names())
 
 
-def test_at_most_42_names():
-    assert len(ctsid.__all__) <= 42
+def test_at_most_40_names():
+    assert len(ctsid.__all__) <= 40
 
 
 def test_benchmark_names_are_public():

@@ -9,7 +9,6 @@ import ctsid.ltisim
 from ctsid import (
     FilteredDataset,
     LtiSystem,
-    NumericConfig,
     NumericalError,
     PiecewiseConstantInput,
     ValidationError,
@@ -233,12 +232,6 @@ class TestFilterLtiDataset:
         assert np.allclose(fd.u_f, filtered_input_data(bank, aircraft_input), atol=1e-12)
         assert np.allclose(fd.x_df, filtered_derivative_data(bank, f), atol=1e-9)
 
-    def test_coarse_config_still_close(self, aircraft_system, aircraft_input):
-        cfg = NumericConfig(quad_panels=2)
-        fd = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("bump_test"), config=cfg)
-        ref = filter_lti_dataset(aircraft_system, aircraft_input, bank_of("bump_test"))
-        assert np.max(np.abs(fd.x_f - ref.x_f)) <= 1e-6 * (1 + np.max(np.abs(ref.x_f)))
-
     @pytest.mark.parametrize("family", FAMILIES)
     def test_rejects_more_filters_than_intervals(self, family, aircraft_system, aircraft_input):
         with pytest.raises(ValidationError, match=r"N=6, M=8"):
@@ -250,10 +243,11 @@ class TestFilterLtiDataset:
     def test_closed_form_moments_match_quadrature(
         self, family, period, rho, aircraft_system, decay_family
     ):
-        """The closed-form interval moments agree with fine Gauss-Legendre."""
+        """The closed-form interval moments agree with Gauss-Legendre at the
+        bank's panel count."""
         decomp = decompose(make_filter_bank(family, rho, period, 6, 6))
         (g_x, _, g_int), _ = _interval_moments(aircraft_system, decomp.bank)
-        rel = build_relation_matrices(aircraft_system, decomp, NumericConfig(quad_panels=32))
+        rel = build_relation_matrices(aircraft_system, decomp)
         ref = np.hstack([rel.a_bar, rel.b_bar])
         g_ref = rel.g_bar[0, 0]
         assert np.linalg.norm(g_x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -287,19 +281,18 @@ class TestFilterLtiDataset:
     @pytest.mark.parametrize("rho_t", (720.0, 1e3, 1e4))
     def test_lowpass_relation_matrices_in_range(self, rho_t, aircraft_system, aircraft_input):
         """The relation matrices take the spec's split, so they stay finite
-        where the paper's split overflows (its g carries e^{rho T}). g is a
-        spike of width 1/rho at the end of the interval: the factorization
-        holds once the panels resolve it, which the default 8 do not."""
-        bank = make_filter_bank("lowpass", rho_t / T, T, 6, 6)
-        rel = build_relation_matrices(aircraft_system, decompose(bank))
-        for mat in (rel.a_bar, rel.b_bar, rel.g_bar, rel.f_bar):
-            assert np.all(np.isfinite(mat))
-        if rho_t <= 1e3:
-            fine = build_relation_matrices(aircraft_system, decompose(bank),
-                                           NumericConfig(quad_panels=64))
+        where the paper's split overflows (lowpass g carries e^{rho T}).
+        lowpass and laguerre g are spikes of width 1/rho at one end of the
+        interval: the panel count follows rho T, so the factorization holds
+        (8 panels, a fixed count, once read 0.98 at rho T = 1e4)."""
+        sd = simulate_sampled(aircraft_system, aircraft_input)
+        for family in ("lowpass", "laguerre"):
+            bank = make_filter_bank(family, rho_t / T, T, 6, 6)
+            rel = build_relation_matrices(aircraft_system, decompose(bank))
+            for mat in (rel.a_bar, rel.b_bar, rel.g_bar, rel.f_bar):
+                assert np.all(np.isfinite(mat)), family
             fd = filter_lti_dataset(aircraft_system, aircraft_input, bank)
-            sd = simulate_sampled(aircraft_system, aircraft_input)
-            assert factorization_residual(fd, sd, fine) <= 1e-12
+            assert factorization_residual(fd, sd, rel) <= 1e-12, family
 
     @pytest.mark.parametrize("rho", (2.0, 100.0, 690.0, 699.0))
     def test_bump_exact_to_the_edge_of_double_precision(self, rho, aircraft_system, aircraft_input):
@@ -514,6 +507,30 @@ class TestScaledResiduals:
         for r in scaled:
             assert 0.0 < r <= 1e-10  # rounding level, as at k = 0
 
+    @staticmethod
+    def bump_700(k):
+        """bump_test at rho = 700, where ||[x_f; u_f]||_F is 3.9e-306 * 2^k."""
+        sys_ = LtiSystem(a=aircraft.A, b=aircraft.B, x0=np.ldexp(aircraft.X0, k))
+        inp = PiecewiseConstantInput(T=T, levels=np.ldexp(aircraft.reference_input().levels, k))
+        bank = make_filter_bank("bump_test", 700.0, T, 6, 6)
+        fd = filter_lti_dataset(sys_, inp, bank)
+        return fd, simulate_sampled(sys_, inp), build_relation_matrices(sys_, decompose(bank))
+
+    def test_tiny_data_read_their_true_ratio(self):
+        # a 1e-300 floor on the denominator once read 2.1e-21 here
+        fd, sd, rel = self.bump_700(0)
+        lhs = fd.stacked()
+        diff = lhs - rel.c_bar @ sd.stacked() @ rel.f_bar
+        ratio = np.linalg.norm(np.ldexp(diff, 1000)) / np.linalg.norm(np.ldexp(lhs, 1000))
+        assert 1e-17 < ratio <= 1e-12
+        assert factorization_residual(fd, sd, rel) == pytest.approx(ratio, rel=1e-12)
+
+    def test_vanished_data_are_not_judged(self):
+        # data that vanish to 0 once read a residual of 0.0, a pass
+        fd, sd, rel = self.bump_700(-400)
+        assert not fd.stacked().any()
+        assert factorization_residual(fd, sd, rel) == math.inf
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_unscaled_residuals_equal_the_numpy_norm(self, family):
         fd, res, rel, sd, got = self.residuals(family, 0)
@@ -537,18 +554,19 @@ class TestPropagatorMemo:
     """
 
     def test_interleaved_systems_and_periods_match_fresh_systems(self):
-        # three plants at two periods and two quadrature settings, each
-        # interleaved with the others, against a cold memo per run
+        # three plants at two periods and two lowpass gains, rho T = 0.1 and
+        # 720 at T (8 and 64 panels, so each propagator keeps two panel
+        # counts), each interleaved with the others, against a cold memo per run
         rng = np.random.default_rng(31)
         plants = [random_controllable_system(rng, n=4, m=2, T=T) for _ in range(3)]
         levels = rng.uniform(-1, 1, size=(2, 6))
-        configs = (NumericConfig(), NumericConfig(quad_panels=6))
+        rhos = (0.1 / T, 720.0 / T)
 
-        def run(sys_, period, config):
+        def run(sys_, period, rho):
             inp = PiecewiseConstantInput(T=period, levels=levels)
-            bank = make_filter_bank("bump_test", 2.0, period, 6, 6)
-            fd = filter_lti_dataset(sys_, inp, bank, config)
-            rel = build_relation_matrices(sys_, decompose(bank), config)
+            bank = make_filter_bank("lowpass", rho, period, 6, 6)
+            fd = filter_lti_dataset(sys_, inp, bank)
+            rel = build_relation_matrices(sys_, decompose(bank))
             # another system's propagators would give a wrong model or residual
             assert identify(fd, 4, 2, truth=sys_).frobenius_error <= 1e-6
             assert factorization_residual(fd, simulate_sampled(sys_, inp), rel) <= 1e-10
@@ -556,15 +574,15 @@ class TestPropagatorMemo:
             return fd.x_f, fd.u_f, fd.x_df, *report, rel.a_bar, rel.b_bar, rel.g_bar
 
         order = [(i, period, c) for c in (0, 1) for period in (T, 2 * T) for i in range(3)]
-        order = order[::2] + order[1::2]  # plants, periods and configs alternate
+        order = order[::2] + order[1::2]  # plants, periods and gains alternate
         cold = {}
         for i, period, c in order:
             ctsid.ltisim._propagators.clear()
-            cold[i, period, c] = run(plants[i], period, configs[c])
+            cold[i, period, c] = run(plants[i], period, rhos[c])
         ctsid.ltisim._propagators.clear()
         for i, period, c in order + order[::-1]:
             fresh = LtiSystem(a=plants[i].a, b=plants[i].b, x0=plants[i].x0)
-            for got, ref in zip(run(fresh, period, configs[c]), cold[i, period, c]):
+            for got, ref in zip(run(fresh, period, rhos[c]), cold[i, period, c]):
                 assert np.array_equal(got, ref), (i, period, c)
 
     def test_second_relation_build_makes_no_expm_call(self, expm_calls):
@@ -622,8 +640,6 @@ class TestPropagatorMemo:
         expm_calls.clear()
         assert _interval_moments(aircraft.system(), bank) is first
         assert expm_calls == []
-        # every quadrature setting has its own entry, also where it is unused
-        assert _interval_moments(sys_, bank, NumericConfig(quad_panels=4)) is not first
         for g_x, gd_x, _ in first:
             for arr in (g_x, gd_x):
                 with pytest.raises(ValueError):

@@ -83,8 +83,14 @@ class TestDiscretize:
             assert np.linalg.det(d.a_t) > 0  # det(e^{AT}) = e^{tr(A) T}
 
     def test_rejects_nonpositive_T(self):
-        with pytest.raises(ValidationError):
-            discretize(scalar_system(), 0.0)
+        # check_nonpathological once read (True, []) at T = nan
+        refusers = (lambda T: discretize(scalar_system(), T),
+                    lambda T: PiecewiseConstantInput(T=T, levels=np.ones((1, 2))),
+                    lambda T: check_nonpathological(scalar_system(), T))
+        for refuse in refusers:
+            for bad in (0.0, -1.0, np.nan, np.inf):
+                with pytest.raises(ValidationError, match="T must be finite and positive"):
+                    refuse(bad)
 
     def test_one_propagator_per_system_and_period(self):
         sys_ = scalar_system()

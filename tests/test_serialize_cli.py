@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,12 +292,24 @@ class TestCli:
 
     def test_verify_lowpass_at_large_rho_t(self, tmp_path, capsys):
         """At rho T = 1000 the relation matrices once overflowed, and the
-        factorization row read "relative residual nan" (exit 4). 64 panels
-        resolve lowpass g, a spike of width 1/rho; the default 8 do not."""
+        factorization row read "relative residual nan" (exit 4). The panel
+        count follows rho T and resolves lowpass g, a spike of width 1/rho;
+        a fixed 8 panels did not."""
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({**AIRCRAFT_CFG, "filter": {"family": "lowpass", "rho": 1e4}}))
-        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                     "--panels", "64"]) == 0, capsys.readouterr().out
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0, \
+            capsys.readouterr().out
+
+    @pytest.mark.parametrize("period", (float("nan"), float("inf")))
+    @pytest.mark.parametrize("command", ("simulate", "design"))
+    def test_non_finite_T_exits_2(self, command, period, tmp_path, capsys):
+        # both once failed only inside expm, and inf warned in transition first
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**AIRCRAFT_CFG, "T": period}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "T must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_filtered_with_m_above_n_exits_2(self, aircraft_config, tmp_path, capsys):
         out = tmp_path / "o"
@@ -332,6 +345,14 @@ class TestCli:
         bank = make_filter_bank("lowpass", 2.0, 0.1, 4, 4)
         assert np.allclose(data[:, 4], eval_g(bank, 4, data[:, 0]))
 
+    @pytest.mark.parametrize("points", ("0", "-5"))
+    def test_plot_data_points_below_1_exits_2(self, points, tmp_path, capsys):
+        # -5 once escaped as a numpy traceback, 0 wrote a CSV of one empty line
+        out = tmp_path / "o"
+        assert main(["filters", "plot-data", "--points", points, "--out", str(out)]) == 2
+        assert "--points must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_console_script_installed(self):
         import shutil
         import subprocess
@@ -350,9 +371,9 @@ class TestCli:
 READS = {
     "simulate": {"--config", "--out"},
     "design": {"--config", "--out", "--seed", "--rtol"},
-    "filter": {"--config", "--out", "--panels", "--dataset"},
+    "filter": {"--config", "--out", "--dataset"},
     "identify": {"--config", "--out", "--rtol"},
-    "verify": {"--config", "--out", "--seed", "--rtol", "--panels", "--filtered"},
+    "verify": {"--config", "--out", "--seed", "--rtol", "--filtered"},
     "demo-aircraft": set(),
     "filters plot-data": {"--config", "--out", "--family", "--rho", "--T", "--M", "--N",
                           "--points"},
@@ -382,3 +403,10 @@ class TestFlagSurface:
         assert exc.value.code == 0
         listed = set(re.findall(r"--\w+", capsys.readouterr().out)) - {"--help"}
         assert listed == READS[command]
+
+    def test_readme_flag_table_matches(self):
+        """The README's `| `command` | flags |` rows list exactly the flags read."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| command | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", table, flags=re.MULTILINE)
+        assert {command: set(re.findall(r"--\w+", flags)) for command, flags in rows} == READS

@@ -115,8 +115,8 @@ class CountedMoments(tuple):
 def test_closed_form_data_evaluated_once_per_call(monkeypatch):
     interval_moments = filtering._interval_moments
 
-    def counted(sys_, bank, config):
-        fine, coarse = interval_moments(sys_, bank, config)
+    def counted(sys_, bank):
+        fine, coarse = interval_moments(sys_, bank)
         counted_fine = CountedMoments(fine, bank.family)
         return counted_fine, counted_fine if coarse is fine else CountedMoments(coarse, bank.family)
 
