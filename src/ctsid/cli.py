@@ -83,12 +83,17 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _as(kind, value, field: str):
+    """kind(value) for the config field named field, or ValidationError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{field} must be {kind.__name__}, not {value!r}") from exc
+
+
 def _rtol(cfg: dict) -> float:
     """numeric.rank_rtol, the rtol= of every rank verdict."""
-    try:
-        rtol = float(cfg.get("numeric", {}).get("rank_rtol", 1e-8))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    rtol = _as(float, cfg.get("numeric", {}).get("rank_rtol", 1e-8), "numeric.rank_rtol")
     if not rtol > 0:
         raise ValidationError("rank_rtol must be positive")
     return rtol
@@ -100,10 +105,10 @@ def _system(cfg: dict) -> tuple[LtiSystem, float]:
         raise ValidationError("config is missing a 'system' section")
     t_val = cfg.get("T")
     if sysc.get("preset") == "aircraft":
-        return aircraft.system(), float(t_val if t_val is not None else aircraft.T)
+        return aircraft.system(), _as(float, t_val if t_val is not None else aircraft.T, "T")
     if sysc.get("preset") is not None:
         raise ValidationError(f"unknown preset {sysc['preset']!r}")
-    if t_val is None or float(t_val) <= 0:
+    if t_val is None or (T := _as(float, t_val, "T")) <= 0:
         raise ValidationError("config must set T > 0")
     try:
         return (
@@ -112,7 +117,7 @@ def _system(cfg: dict) -> tuple[LtiSystem, float]:
                 b=np.array(sysc["B"], dtype=float),
                 x0=np.array(sysc["x0"], dtype=float),
             ),
-            float(t_val),
+            T,
         )
     except KeyError as exc:
         raise ValidationError(f"system section is missing {exc}") from exc
@@ -128,8 +133,8 @@ def _input(cfg: dict, T: float) -> PiecewiseConstantInput:
 def _bank(cfg: dict, T: float, N: int, n: int, m: int):
     fc = cfg.get("filter", {})
     family = fc.get("family", "poly_test")
-    rho = float(fc.get("rho", 1.0))
-    M = int(fc.get("M", n + m))
+    rho = _as(float, fc.get("rho", 1.0), "filter.rho")
+    M = _as(int, fc.get("M", n + m), "filter.M")
     return make_filter_bank(family, rho, T, M, N)
 
 
@@ -316,11 +321,12 @@ def cmd_demo_aircraft(args) -> int:
 def cmd_filters_plot_data(args) -> int:
     cfg = _load_config(args)
     fc = cfg.get("filter", {})
-    family, M = fc.get("family", "poly_test"), int(fc.get("M", 3))
+    family, M = fc.get("family", "poly_test"), _as(int, fc.get("M", 3), "filter.M")
     if args.points < 1:
         raise ValidationError(f"--points must be >= 1, not {args.points}")
-    bank = make_filter_bank(family, float(fc.get("rho", 1.0)), float(cfg.get("T", 1.0)), M,
-                            max(M, int(cfg.get("N", 3))))
+    bank = make_filter_bank(family, _as(float, fc.get("rho", 1.0), "filter.rho"),
+                            _as(float, cfg.get("T", 1.0), "T"), M,
+                            max(M, _as(int, cfg.get("N", 3), "N")))
     grid = np.linspace(0.0, bank.horizon, args.points, endpoint=False)
     cols = [grid] + [np.asarray(eval_g(bank, ell, grid)) for ell in range(1, M + 1)]
     out = _outdir(args)

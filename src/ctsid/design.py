@@ -310,6 +310,6 @@ def verify_intersample(
     mu = np.broadcast_to(sd.mu, (len(offsets), *sd.mu.shape))
     _, s, _, tol, rank = _rank_svd(np.concatenate([chi_t, mu], axis=1), rtol)
     return [
-        (float(t), RankReport(rank=int(r), singular_values=si, tolerance_used=ti))
+        (float(t), RankReport._of_svd(int(r), si, ti))
         for t, r, si, ti in zip(offsets, rank, s, tol)
     ]

@@ -6,8 +6,10 @@ Everything downstream (simulation, filtering, design, identification) goes
 through these wrappers so a single tolerance convention applies everywhere:
 one helper takes the SVD and applies the rank threshold
 rtol * s_max * max(rows, cols), for a matrix or a stack of them, and each
-rank verdict costs one SVD. The pseudo-inverse inverts only the kept
-singular values; a Frobenius norm near unit scale is np.linalg.norm's.
+rank verdict costs one reduced SVD; only left_kernel_basis takes the full u,
+whose trailing columns span the left kernel of a tall matrix. The
+pseudo-inverse inverts only the kept singular values; a Frobenius norm near
+unit scale is np.linalg.norm's.
 """
 
 from __future__ import annotations
@@ -30,27 +32,35 @@ class RankReport:
 
     def __post_init__(self):
         s = np.asarray(self.singular_values, dtype=float)
+        if s.ndim != 1 or not (np.isfinite(s).all() and (s >= 0).all()):
+            raise ValidationError("singular values must be a vector of finite, nonnegative numbers")
         if (s[1:] > s[:-1]).any():
             raise ValidationError("singular values must be nonincreasing")
+        if self.rank not in range(s.size + 1):
+            raise ValidationError(f"rank must be an integer in [0, {s.size}], not {self.rank!r}")
+        if not 0.0 <= self.tolerance_used < math.inf:
+            raise ValidationError("tolerance must be finite and nonnegative")
         object.__setattr__(self, "singular_values", s)
 
+    @classmethod
+    def _of_svd(cls, rank: int, s: np.ndarray, tol: float) -> "RankReport":
+        """Unchecked: LAPACK's s is finite, nonnegative and nonincreasing."""
+        report = object.__new__(cls)
+        report.__dict__.update(rank=rank, singular_values=s, tolerance_used=tol)
+        return report
 
-def _svd(a: np.ndarray):
-    try:
-        return np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
 
-
-def _rank_svd(m, rtol: float):
+def _rank_svd(m, rtol: float, full_matrices: bool = False):
     """(u, s, vh, tol, rank) of a (p, q) matrix, or per matrix of a (k, p, q)
     stack, from one SVD: tol = rtol * s_max * max(p, q), rank = #{s > tol}.
+    For a matrix tol is a float and rank an int.
 
     Far from unit scale (largest |entry| outside [2^-100, 2^100]) the SVD
     is of M / 2^e, e the frexp exponent of that entry, with s scaled back:
     exact where LAPACK's own rescaling is not, so svd(2^k M) gives 2^k s.
     Each slice of a batched np.linalg.svd equals the single call bit for
     bit, so a stack in that range gives the same verdicts as one call each.
+    The reduced and the full SVD give the same s bit for bit.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim not in (2, 3) or 0 in a.shape[-2:]:
@@ -60,12 +70,16 @@ def _rank_svd(m, rtol: float):
         raise ValidationError("matrix entries must be finite")
     if not rtol > 0:
         raise ValidationError("rtol must be positive")
-    if 2.0**-100 <= peak <= 2.0**100:
-        u, s, vh = _svd(a)
-    else:
-        e = math.frexp(peak)[1]
-        u, s, vh = _svd(np.ldexp(a, -e))
+    e = 0 if 2.0**-100 <= peak <= 2.0**100 else math.frexp(peak)[1]
+    try:
+        u, s, vh = np.linalg.svd(np.ldexp(a, -e) if e else a, full_matrices=full_matrices)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    if e:
         s = np.ldexp(s, e)
+    if a.ndim == 2:
+        tol = rtol * float(s[0]) * max(a.shape)
+        return u, s, vh, tol, int(np.count_nonzero(s > tol))
     tol = rtol * s[..., 0] * max(a.shape[-2:])
     return u, s, vh, tol, (s > tol[..., None]).sum(-1)
 
@@ -79,13 +93,13 @@ def _rank_pinv(m, rtol: float) -> tuple[RankReport, np.ndarray]:
         raise NumericalError(
             f"pseudo-inverse is not finite: smallest kept singular value {s[rank - 1]:.3g}"
         )
-    return RankReport(rank=int(rank), singular_values=s, tolerance_used=tol), out
+    return RankReport._of_svd(rank, s, tol), out
 
 
 def svd_rank(m, rtol: float = 1e-8) -> RankReport:
     """Numerical rank with threshold rtol * s_max * max(rows, cols)."""
     _, s, _, tol, rank = _rank_svd(m, rtol)
-    return RankReport(rank=int(rank), singular_values=s, tolerance_used=tol)
+    return RankReport._of_svd(rank, s, tol)
 
 
 def pinv(m, rtol: float = 1e-8) -> np.ndarray:
@@ -103,7 +117,7 @@ def left_kernel_basis(m, rtol: float = 1e-8) -> np.ndarray:
 
     Returns a (p - rank) x p array; empty (0 x p) when M has full row rank.
     """
-    u, _, _, _, rank = _rank_svd(m, rtol)
+    u, _, _, _, rank = _rank_svd(m, rtol, full_matrices=True)
     return u[:, rank:].T.copy()
 
 
@@ -167,8 +181,11 @@ def expm(a) -> np.ndarray:
         if not np.isfinite(norms).all():
             raise NumericalError("expm overflowed (1-norm beyond the float range)")
         keys = [_degree_and_squarings(x) for x in norms.tolist()]
-        for degree, s in set(keys):
-            group = [i for i, key in enumerate(keys) if key == (degree, s)]
+        groups = set(keys)
+        for degree, s in groups:
+            # one group, always so for one matrix, is the whole stack: no fancy indexing
+            group = (slice(None) if len(groups) == 1 else
+                     [i for i, key in enumerate(keys) if key == (degree, s)])
             r = _pade(np.ldexp(stack[group], -s), degree)
             for _ in range(s):
                 r = r @ r

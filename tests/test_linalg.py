@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,16 @@ from ctsid import (
     simulate_sampled,
     svd_rank,
 )
-from ctsid.linalg import RankReport, _frobenius, expm, frobenius_distance, left_kernel_basis, pinv
+from ctsid.linalg import (
+    RankReport,
+    _frobenius,
+    _degree_and_squarings,
+    _rank_svd,
+    expm,
+    frobenius_distance,
+    left_kernel_basis,
+    pinv,
+)
 
 
 class TestSvdRank:
@@ -54,7 +64,67 @@ class TestSvdRank:
             svd_rank(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+class TestReducedSvd:
+    """Every SVD but left_kernel_basis's is reduced. Its singular values, and
+    so every rank report, equal those of the full SVD bit for bit."""
+
+    @pytest.mark.parametrize("k", (0, -600, 600))
+    def test_singular_values_equal_the_full_svds(self, k):
+        rng = np.random.default_rng(25)
+        for rows in (1, 2, 3, 6, 9, 15):
+            for cols in (1, 2, 5, 6, 7, 16, 33, 63):
+                m = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+                for a in (np.ldexp(m, k), np.ldexp(m.T, k)):  # wide and tall
+                    u, s, vh, tol, rank = _rank_svd(a, 1e-8)
+                    full = _rank_svd(a, 1e-8, full_matrices=True)
+                    assert u.shape[1] == vh.shape[0] == min(a.shape)
+                    assert s.tobytes() == full[1].tobytes(), a.shape
+                    assert (tol, rank) == full[3:]
+
+    def test_stacks_equal_the_full_svds(self):
+        stack = np.random.default_rng(26).standard_normal((10, 6, 32))
+        _, s, vh, tol, rank = _rank_svd(stack, 1e-8)
+        full = _rank_svd(stack, 1e-8, full_matrices=True)
+        assert vh.shape == (10, 6, 32)
+        assert s.tobytes() == full[1].tobytes()
+        assert tol.tobytes() == full[3].tobytes() and np.array_equal(rank, full[4])
+
+    def test_long_matrix_builds_no_square_factor(self):
+        # the full SVD of a 6 x 4096 matrix builds a 4096 x 4096 vh, 134 MB
+        m = np.random.default_rng(27).standard_normal((6, 4096))
+        tracemalloc.start()
+        try:
+            svd_rank(m)
+            pinv(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 class TestRankReport:
+    @pytest.mark.parametrize("s", ([np.nan, 1.0], [1.0, -2.0], [np.inf, 1.0]))
+    def test_rejects_non_finite_or_negative_singular_values(self, s):
+        with pytest.raises(ValidationError, match="finite, nonnegative"):
+            RankReport(rank=1, singular_values=s, tolerance_used=0.0)
+
+    @pytest.mark.parametrize("rank", (-1, 3, 5, 1.5))
+    def test_rejects_a_rank_outside_the_spectrum(self, rank):
+        with pytest.raises(ValidationError, match="rank must be"):
+            RankReport(rank=rank, singular_values=[2.0, 1.0], tolerance_used=0.0)
+
+    @pytest.mark.parametrize("tol", (-1e-9, np.nan, np.inf))
+    def test_rejects_a_negative_or_non_finite_tolerance(self, tol):
+        with pytest.raises(ValidationError, match="tolerance"):
+            RankReport(rank=1, singular_values=[2.0, 1.0], tolerance_used=tol)
+
+    @pytest.mark.parametrize("shape", ((3, 5), (5, 3), (4, 4)))
+    def test_svd_rank_reports_pass_the_public_checks(self, shape):
+        rep = svd_rank(np.random.default_rng(3).standard_normal(shape))
+        RankReport(rank=rep.rank, singular_values=rep.singular_values,
+                   tolerance_used=rep.tolerance_used)
+        assert type(rep.rank) is int and type(rep.tolerance_used) is float
+
     def test_rejects_increasing_singular_values(self):
         with pytest.raises(ValidationError, match="nonincreasing"):
             RankReport(rank=2, singular_values=np.array([1.0, 2.0]), tolerance_used=0.0)
@@ -209,6 +279,15 @@ class TestExpmStack:
         stack = np.array([with_one_norm(rng, 5, x) for x in norms])
         assert [np.abs(a).sum(axis=0).max() for a in stack] == norms
         stack = stack[rng.permutation(len(norms))]
+        for a, e in zip(stack, expm(stack)):
+            assert np.array_equal(e, expm(a))
+
+    @pytest.mark.parametrize("norm", (0.0, 0.5, 300.0))
+    def test_stack_of_one_key_equals_single(self, norm):
+        # every matrix shares one (degree, s): the stack runs in one batch
+        rng = np.random.default_rng(14)
+        stack = np.array([with_one_norm(rng, 6, norm) for _ in range(4)])
+        assert len({_degree_and_squarings(np.abs(a).sum(axis=0).max()) for a in stack}) == 1
         for a, e in zip(stack, expm(stack)):
             assert np.array_equal(e, expm(a))
 

@@ -311,6 +311,21 @@ class TestCli:
         assert "T must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, fields", (
+        ("design", {"numeric": {"rank_rtol": None}}),
+        ("filter", {"filter": {**AIRCRAFT_CFG["filter"], "M": "x"}}),
+        ("design", {"T": "abc"}),
+        ("simulate", {"T": "abc"}),
+    ))
+    def test_config_field_of_wrong_type_exits_2(self, command, fields, tmp_path, capsys):
+        # each once escaped main as a TypeError or ValueError traceback, exit 1
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**AIRCRAFT_CFG, **fields}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_filtered_with_m_above_n_exits_2(self, aircraft_config, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["filter", "--config", str(aircraft_config), "--out", str(out)]) == 0

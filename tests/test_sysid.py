@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from ctsid import (
     NumericalError,
     PiecewiseConstantInput,
     SampledDataset,
+    SimulatedPlant,
     ValidationError,
     filter_lti_dataset,
     identify,
     identify_discrete,
     make_filter_bank,
+    run_online_design,
     simulate_sampled,
 )
 from ctsid.filters import FAMILIES
@@ -205,6 +208,22 @@ class TestIdentifyDiscrete:
         assert frobenius_distance(expm(res_ct.a_hat * T), res_dt.a_t_hat) <= 1e-8
 
 
+def test_long_data_build_no_square_factor():
+    # identify once took a full SVD: a 4096 x 4096 vh, 134 MB, and 0.6 s
+    rng = np.random.default_rng(11)
+    fd = FilteredDataset(x_f=rng.standard_normal((4, 4096)), u_f=rng.standard_normal((2, 4096)),
+                         x_df=rng.standard_normal((4, 4096)), family="lowpass", rho=1.0, T=T,
+                         M=4096)
+    tracemalloc.start()
+    try:
+        res = identify(fd, 4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.informative
+    assert peak < 8e6
+
+
 def same_report(rep, ref) -> bool:
     return (
         rep.rank == ref.rank
@@ -240,3 +259,40 @@ class TestOneSvdPerVerdict:
         assert np.array_equal(res.regressor_rank.singular_values, np.zeros(5))
         assert not res.informative
         assert not np.any(res.a_t_hat) and not np.any(res.b_t_hat)
+
+
+class TestTimeRescaling:
+    """The aircraft plant (cA, cB) sampled at T / c, c a power of two: cA
+    times T / c is A T exactly, so the discrete plant and everything the
+    online design and identify_discrete compute are bit-identical to c = 1.
+    The filters at c rho see the same data on a time axis shrunk by c, so
+    identify's (A_hat, B_hat) / c matches c = 1 up to rounding."""
+
+    @staticmethod
+    def rescaled(c):
+        sys_ = LtiSystem(a=c * aircraft.A, b=c * aircraft.B, x0=aircraft.X0)
+        inp = PiecewiseConstantInput(T=T / c, levels=aircraft.reference_input().levels)
+        return sys_, inp
+
+    @pytest.mark.parametrize("c", (0.5, 2.0, 8.0))
+    def test_design_and_discrete_fit_are_bit_identical(self, c):
+        results = []
+        for scale in (1.0, c):
+            sys_, inp = self.rescaled(scale)
+            design = run_online_design(SimulatedPlant(sys_, inp.T), 4, 2, inp.T)
+            fit = identify_discrete(design.dataset)
+            results.append([design.dataset.chi, design.dataset.mu, design.dataset.chi_final,
+                             design.rank_report.singular_values, fit.a_t_hat, fit.b_t_hat])
+        for ref, got in zip(*results):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("c", (0.5, 2.0, 8.0))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_filtered_estimate_scales_with_c(self, family, c):
+        estimates = []
+        for scale in (1.0, c):
+            sys_, inp = self.rescaled(scale)
+            bank = make_filter_bank(family, scale * RHO[family], inp.T, 6, 6)
+            estimates.append(identify(filter_lti_dataset(sys_, inp, bank), 4, 2).ab_hat / scale)
+        ref, got = estimates
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
